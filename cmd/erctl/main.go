@@ -356,7 +356,7 @@ func watch(args []string) {
 	} else {
 		for i, op := range ops[skipped:] {
 			n := skipped + i + 1
-			if err := applyStreamOp(ctx, r, op); err != nil {
+			if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 				fail(fmt.Errorf("op %d (%s %s): %w", n, op.Kind, op.URI, err))
 			}
 			if *statsEvery > 0 && n%*statsEvery == 0 {
@@ -371,29 +371,6 @@ func watch(args []string) {
 	if err := r.Close(); err != nil {
 		fail(err)
 	}
-}
-
-// applyStreamOp executes one URI-addressed operation through the v2
-// Resolver interface: updates and deletes select their handle by URI.
-func applyStreamOp(ctx context.Context, r er.Resolver, op er.StreamOp) error {
-	switch op.Kind {
-	case er.StreamInsert:
-		_, err := r.Insert(ctx, &er.Description{URI: op.URI, Source: op.Source, Attrs: op.Attrs})
-		return err
-	case er.StreamUpdate:
-		res, err := r.Query(ctx, er.Query{URI: op.URI})
-		if err != nil {
-			return err
-		}
-		return r.Update(ctx, res.ID, op.Attrs)
-	case er.StreamDelete:
-		res, err := r.Query(ctx, er.Query{URI: op.URI})
-		if err != nil {
-			return err
-		}
-		return r.Delete(ctx, res.ID)
-	}
-	return fmt.Errorf("unknown op kind %v", op.Kind)
 }
 
 // printMatches lists each matched URI pair once, walking the stream's

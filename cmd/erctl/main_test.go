@@ -252,9 +252,10 @@ func TestWatchBatch(t *testing.T) {
 	}
 }
 
-// TestApplyStreamOp covers the op translation onto the v2 interface,
-// including the refused paths: mutating a URI that was never inserted, and
-// an op kind the log format does not define.
+// TestApplyStreamOp covers how the log replay applies one op — a batch of
+// one through the v2 interface — including the refused paths: mutating a
+// URI that was never inserted, and an op kind the log format does not
+// define.
 func TestApplyStreamOp(t *testing.T) {
 	ctx := context.Background()
 	r, err := er.Open(ctx, er.Config{
@@ -267,6 +268,9 @@ func TestApplyStreamOp(t *testing.T) {
 	}
 	defer r.Close()
 	attrs := []er.Attribute{{Name: "name", Value: "alice"}}
+	applyStreamOp := func(ctx context.Context, r er.Resolver, op er.StreamOp) error {
+		return r.ApplyBatch(ctx, []er.StreamOp{op})
+	}
 	if err := applyStreamOp(ctx, r, er.StreamOp{Kind: er.StreamInsert, URI: "u:a", Attrs: attrs}); err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func serveCmd(args []string) {
 			fail(fmt.Errorf("deployment already holds %d ops but %s has only %d", skip, *opsPath, len(ops)))
 		}
 		for i, op := range ops[skip:] {
-			if err := applyStreamOp(ctx, r, op); err != nil {
+			if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 				fail(fmt.Errorf("preload op %d (%s %s): %w", skip+i+1, op.Kind, op.URI, err))
 			}
 		}

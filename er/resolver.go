@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"entityres/internal/entity"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
 	"entityres/internal/transport"
@@ -97,8 +96,8 @@ type Result struct {
 
 // ErrNotFound reports a Query that selected no live description.
 // ErrBroken marks a resolver whose journal has diverged from its in-memory
-// state: a WAL append failed mid-operation and the rollback could not
-// restore the pre-operation picture. Every subsequent mutation AND every
+// state: a journaled read-side reconcile could not be recorded or
+// retracted, or an admitted operation failed mid-apply. Every subsequent mutation AND every
 // reconciling read (Stats, Flush, Query under meta-blocking) fails with an
 // error wrapping it — match with errors.Is(err, er.ErrBroken). The journal
 // itself is still the durable truth: reopening the directory recovers the
@@ -122,6 +121,14 @@ func (e *ErrNotFound) Error() string {
 // insert/update/delete traffic. All deployment forms returned by Open —
 // single-node, durable, sharded, networked — satisfy it with bit-identical
 // observable behavior.
+//
+// Every mutation is a batch: Insert, Update and Delete are ApplyBatch with
+// one operation, journaled and counted exactly as the single operation it
+// is (one journal append, one fan-out, one round trip per shard). On every
+// form the context gates admission only: a context that is already done
+// fails the call with its error before anything is journaled or applied,
+// and an admitted operation runs to completion even if the context is
+// cancelled while it does.
 type Resolver interface {
 	// Insert adds a new description and returns its handle.
 	Insert(ctx context.Context, d *Description) (ID, error)
@@ -224,7 +231,7 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &networkedResolver{co: co}
+		r = &networkedResolver{adapter{co}, co}
 	case cfg.Shards > 1:
 		var sh *ShardedResolver
 		var err error
@@ -236,7 +243,7 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &shardedAdapter{sh: sh}
+		r = &shardedAdapter{adapter{sh}, sh}
 	default:
 		icfg := incremental.Config{
 			Kind: cfg.Kind, Blocker: cfg.Blocker, Matcher: cfg.Matcher,
@@ -252,7 +259,7 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		r = &singleAdapter{sr: sr}
+		r = &singleAdapter{adapter{sr}, sr}
 	}
 	if len(cfg.Sources) > 0 {
 		if err := preloadSources(ctx, r, cfg.Sources); err != nil {
@@ -263,18 +270,24 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 	return r, nil
 }
 
-// queryBackend is the read surface the three adapters share. The
-// reconciling reads (MatchedWith, Clusters) return the reconcile's error —
-// a poisoned journal surfaces as ErrBroken instead of a panic.
-type queryBackend interface {
+// backend is what every deployment form offers the adapters: its one
+// batch apply path and the shared read surface. The reconciling reads
+// (MatchedWith, Clusters, Stats) return the reconcile's error — a poisoned
+// journal surfaces as ErrBroken instead of a panic.
+type backend interface {
+	incremental.Batcher
 	Lookup(uri string) (ID, bool)
 	Get(id ID) (*Description, bool)
 	MatchedWith(id ID) ([]ID, error)
 	Clusters() ([][]ID, error)
+	Stats() (StreamingStats, error)
+	Flush(ctx context.Context) error
+	Close() error
+	Perf() StreamingPerf
 }
 
 // runQuery answers q against any backend.
-func runQuery(b queryBackend, q Query) (Result, error) {
+func runQuery(b backend, q Query) (Result, error) {
 	var id ID
 	if q.URI != "" {
 		var ok bool
@@ -303,17 +316,6 @@ func runQuery(b queryBackend, q Query) (Result, error) {
 	return res, nil
 }
 
-// batchRecords renders URI-addressed stream operations in the internal
-// batch-record form all deployment forms plan against. Updates and deletes
-// set ID to -1 explicitly: the zero value would address handle 0.
-func batchRecords(ops []StreamOp) []incremental.Record {
-	recs := make([]incremental.Record, len(ops))
-	for i, op := range ops {
-		recs[i] = incremental.Record{Kind: op.Kind, ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-	}
-	return recs
-}
-
 // clusterOf finds id's cluster; a description matched to nothing forms a
 // singleton.
 func clusterOf(clusters [][]ID, id ID) []ID {
@@ -327,77 +329,59 @@ func clusterOf(clusters [][]ID, id ID) []ID {
 	return []ID{id}
 }
 
-// singleAdapter adapts the single-node streaming resolver.
-type singleAdapter struct{ sr *StreamingResolver }
+// adapter implements Resolver over any deployment form. Every mutation is a
+// batch through the backend's ApplyBatch — a single Insert, Update or
+// Delete is a batch of one — so operations are converted in one place and
+// the context gates admission only, on every form.
+type adapter struct{ b backend }
 
-func (a *singleAdapter) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.sr.Insert(ctx, d)
+func (a adapter) Insert(ctx context.Context, d *Description) (ID, error) {
+	return incremental.InsertOne(ctx, a.b, d)
 }
-func (a *singleAdapter) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.sr.Update(ctx, id, attrs)
+func (a adapter) Update(ctx context.Context, id ID, attrs []Attribute) error {
+	return incremental.UpdateOne(ctx, a.b, id, attrs)
 }
-func (a *singleAdapter) Delete(ctx context.Context, id ID) error { return a.sr.Delete(id) }
-func (a *singleAdapter) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.sr.ApplyBatch(ctx, batchRecords(ops))
+func (a adapter) Delete(ctx context.Context, id ID) error {
+	return incremental.DeleteOne(ctx, a.b, id)
 }
-func (a *singleAdapter) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.sr, q)
+func (a adapter) ApplyBatch(ctx context.Context, ops []StreamOp) error {
+	return a.b.ApplyBatch(ctx, incremental.OpRecords(ops))
 }
-func (a *singleAdapter) Stats() (StreamingStats, error)  { return a.sr.Stats() }
-func (a *singleAdapter) Flush(ctx context.Context) error { return a.sr.Flush(ctx) }
-func (a *singleAdapter) Close() error                    { return a.sr.Close() }
-func (a *singleAdapter) Recovery() []StreamingRecovery   { return []StreamingRecovery{a.sr.Recovery()} }
-func (a *singleAdapter) Abandon()                        { a.sr.Abandon() }
-func (a *singleAdapter) Perf() StreamingPerf             { return a.sr.Perf() }
+func (a adapter) Query(ctx context.Context, q Query) (Result, error) { return runQuery(a.b, q) }
+func (a adapter) Stats() (StreamingStats, error)                     { return a.b.Stats() }
+func (a adapter) Flush(ctx context.Context) error                    { return a.b.Flush(ctx) }
+func (a adapter) Close() error                                       { return a.b.Close() }
+func (a adapter) Perf() StreamingPerf                                { return a.b.Perf() }
+
+// singleAdapter adapts the single-node streaming resolver.
+type singleAdapter struct {
+	adapter
+	sr *StreamingResolver
+}
+
+func (a *singleAdapter) Recovery() []StreamingRecovery { return []StreamingRecovery{a.sr.Recovery()} }
+func (a *singleAdapter) Abandon()                      { a.sr.Abandon() }
 
 // shardedAdapter adapts the in-process sharded resolver.
-type shardedAdapter struct{ sh *ShardedResolver }
+type shardedAdapter struct {
+	adapter
+	sh *ShardedResolver
+}
 
-func (a *shardedAdapter) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.sh.Insert(ctx, d)
-}
-func (a *shardedAdapter) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.sh.Update(ctx, id, attrs)
-}
-func (a *shardedAdapter) Delete(ctx context.Context, id ID) error { return a.sh.Delete(id) }
-func (a *shardedAdapter) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.sh.ApplyBatch(ctx, batchRecords(ops))
-}
-func (a *shardedAdapter) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.sh, q)
-}
-func (a *shardedAdapter) Stats() (StreamingStats, error)  { return a.sh.Stats() }
-func (a *shardedAdapter) Flush(ctx context.Context) error { return a.sh.Flush(ctx) }
-func (a *shardedAdapter) Close() error                    { return a.sh.Close() }
-func (a *shardedAdapter) Recovery() []StreamingRecovery   { return a.sh.Recovery() }
-func (a *shardedAdapter) Abandon()                        { a.sh.Abandon() }
-func (a *shardedAdapter) Perf() StreamingPerf             { return a.sh.Perf() }
+func (a *shardedAdapter) Recovery() []StreamingRecovery { return a.sh.Recovery() }
+func (a *shardedAdapter) Abandon()                      { a.sh.Abandon() }
 
 // networkedResolver adapts the transport coordinator; it additionally
 // implements ShardRejoiner.
-type networkedResolver struct{ co *transport.Coordinator }
+type networkedResolver struct {
+	adapter
+	co *transport.Coordinator
+}
 
-func (a *networkedResolver) Insert(ctx context.Context, d *Description) (ID, error) {
-	return a.co.Insert(ctx, d)
-}
-func (a *networkedResolver) Update(ctx context.Context, id ID, attrs []Attribute) error {
-	return a.co.Update(ctx, id, attrs)
-}
-func (a *networkedResolver) Delete(ctx context.Context, id ID) error { return a.co.Delete(ctx, id) }
-func (a *networkedResolver) ApplyBatch(ctx context.Context, ops []StreamOp) error {
-	return a.co.ApplyBatch(ctx, batchRecords(ops))
-}
-func (a *networkedResolver) Query(ctx context.Context, q Query) (Result, error) {
-	return runQuery(a.co, q)
-}
-func (a *networkedResolver) Stats() (StreamingStats, error)  { return a.co.Stats() }
-func (a *networkedResolver) Flush(ctx context.Context) error { return a.co.Flush(ctx) }
-func (a *networkedResolver) Close() error                    { return a.co.Close() }
 func (a *networkedResolver) RejoinShard(ctx context.Context, shard int) error {
 	return a.co.RejoinShard(ctx, shard)
 }
 func (a *networkedResolver) TransportStats() TransportStats { return a.co.TransportStats() }
-func (a *networkedResolver) Perf() StreamingPerf            { return a.co.Perf() }
 
 // compile-time conformance
 var (
@@ -410,8 +394,7 @@ var (
 	_ PerfReporter    = (*singleAdapter)(nil)
 	_ PerfReporter    = (*shardedAdapter)(nil)
 	_ PerfReporter    = (*networkedResolver)(nil)
-	_ queryBackend    = (*incremental.Resolver)(nil)
-	_ queryBackend    = (*sharded.Resolver)(nil)
-	_ queryBackend    = (*transport.Coordinator)(nil)
-	_                 = entity.Description{}
+	_ backend         = (*incremental.Resolver)(nil)
+	_ backend         = (*sharded.Resolver)(nil)
+	_ backend         = (*transport.Coordinator)(nil)
 )

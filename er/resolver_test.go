@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"entityres/er"
@@ -189,6 +190,26 @@ func TestOpenConformance(t *testing.T) {
 		}
 	}
 
+	// Each of the 6 calls above is a batch of one and costs exactly what a
+	// single operation always did: one append per journal it reaches (one
+	// per shard on the sharded form, the replica's on the networked one),
+	// one fan-out, and one wire round trip per shard.
+	for _, row := range []struct {
+		form                        string
+		appends, fanOuts, roundTrip int64
+	}{
+		{"single", 6, 0, 0},
+		{"durable", 6, 0, 0},
+		{"sharded", 6 * 3, 6, 0},
+		{"networked", 6, 6, 6 * 2},
+	} {
+		p := forms[row.form].(er.PerfReporter).Perf()
+		if p.JournalAppends != row.appends || p.FanOuts != row.fanOuts || p.TransportRoundTrips != row.roundTrip {
+			t.Fatalf("%s: 6 single ops cost appends=%d fan-outs=%d round trips=%d, want %d/%d/%d",
+				row.form, p.JournalAppends, p.FanOuts, p.TransportRoundTrips, row.appends, row.fanOuts, row.roundTrip)
+		}
+	}
+
 	// The networked form exposes its transport surface through the optional
 	// interface, and routing was in effect.
 	rj, ok := forms["networked"].(er.ShardRejoiner)
@@ -198,6 +219,81 @@ func TestOpenConformance(t *testing.T) {
 	ts := rj.TransportStats()
 	if ts.FullOps+ts.AdvanceOps != 6*2 || ts.AdvanceOps == 0 {
 		t.Fatalf("transport stats %+v: want 6 ops routed across 2 shards with some advances", ts)
+	}
+}
+
+// cancelAfterAdmission is a context that is live for its first Err check —
+// the admission gate — and cancelled ever after: a caller that gives up
+// while its admitted operation runs.
+type cancelAfterAdmission struct {
+	context.Context
+	checked atomic.Bool
+}
+
+func (c *cancelAfterAdmission) Err() error {
+	if c.checked.Swap(true) {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestContextGatesAdmission pins the context contract on every er.Open
+// form: a done context fails Insert, Update, Delete and ApplyBatch with its
+// own error before anything is journaled or applied, and an operation
+// admitted under a live context runs to completion even if the context is
+// cancelled while it does.
+func TestContextGatesAdmission(t *testing.T) {
+	ctx := context.Background()
+	forms := openAll(t, ctx)
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	alice := []er.Attribute{{Name: "name", Value: "alice smith"}}
+	var want er.StreamingStats
+	for _, name := range []string{"single", "durable", "sharded", "networked"} {
+		r := forms[name]
+		id, err := r.Insert(ctx, &er.Description{URI: "u:a", Attrs: alice})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before, perf := mustStats(t, r), r.(er.PerfReporter).Perf()
+		for op, call := range map[string]func(context.Context) error{
+			"insert": func(c context.Context) error {
+				_, err := r.Insert(c, &er.Description{URI: "u:b", Attrs: alice})
+				return err
+			},
+			"update": func(c context.Context) error { return r.Update(c, id, alice) },
+			"delete": func(c context.Context) error { return r.Delete(c, id) },
+			"batch": func(c context.Context) error {
+				return r.ApplyBatch(c, []er.StreamOp{{Kind: er.StreamInsert, URI: "u:b", Attrs: alice}})
+			},
+		} {
+			if err := call(done); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: %s under a done context = %v, want context.Canceled", name, op, err)
+			}
+		}
+		if st := mustStats(t, r); st != before {
+			t.Fatalf("%s: refused ops moved stats %+v -> %+v", name, before, st)
+		}
+		if p := r.(er.PerfReporter).Perf(); p.JournalAppends != perf.JournalAppends || p.FanOuts != perf.FanOuts || p.TransportRoundTrips != perf.TransportRoundTrips {
+			t.Fatalf("%s: refused ops reached a journal or shard: %+v -> %+v", name, perf, p)
+		}
+		// Admitted, then cancelled: both the single and the batch path run
+		// to completion, and the resolver stays usable.
+		if _, err := r.Insert(&cancelAfterAdmission{Context: ctx}, &er.Description{URI: "u:b", Attrs: alice}); err != nil {
+			t.Fatalf("%s: insert cancelled after admission: %v", name, err)
+		}
+		if err := r.ApplyBatch(&cancelAfterAdmission{Context: ctx}, []er.StreamOp{{Kind: er.StreamUpdate, URI: "u:a", Attrs: alice}}); err != nil {
+			t.Fatalf("%s: batch cancelled after admission: %v", name, err)
+		}
+		if res, err := r.Query(ctx, er.Query{URI: "u:b"}); err != nil || len(res.SameAs) != 1 || res.SameAs[0] != id {
+			t.Fatalf("%s: u:b after an admitted insert = %+v (%v), want matched to u:a", name, res, err)
+		}
+		st := mustStats(t, r)
+		if name == "single" {
+			want = st
+		} else if st != want {
+			t.Fatalf("%s stats %+v diverge from single %+v", name, st, want)
+		}
 	}
 }
 

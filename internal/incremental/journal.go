@@ -1,16 +1,17 @@
-// The resolver's durable storage layer: every Insert, Update and Delete is
-// journaled through a pluggable Journal BEFORE it is applied, so a
-// WAL-backed journal (wal.Log segments + snapshot compaction) can restore a
-// crashed resolver to exactly the state the acknowledged operations built.
+// The resolver's durable storage layer: every batch — a single Insert,
+// Update or Delete is a batch of one — is journaled through a pluggable
+// Journal BEFORE it is applied, so a WAL-backed journal (wal.Log segments +
+// snapshot compaction) can restore a crashed resolver to exactly the state
+// the acknowledged operations built.
 //
-// The write path is journal-then-apply with retraction: the operation's
-// Record is durably appended first; if the apply then fails (the only
-// non-validation failure is context cancellation inside delta matching),
-// the record is truncated back out of the log, so the journal always holds
-// exactly the operations the caller saw succeed. A rolled-back insert still
-// burns a collection slot in memory; replay reproduces burned slots from
-// the handle gaps the surviving insert records exhibit, keeping recovered
-// handles identical to the original run's.
+// The write path is validate-journal-apply: the context and every record
+// are checked before the append, so an admitted batch always applies and
+// the journal holds exactly the operations the caller saw succeed. (A
+// journaled reconcile whose evaluation is cancelled is the one record
+// retracted again.) Journals written before the context became an
+// admission-only gate may hold handle gaps left by inserts cancelled
+// mid-apply, whose slots were burned; replay reproduces such slots from the
+// gaps, keeping recovered handles identical to the original run's.
 //
 // Compaction bounds recovery: every DurableOptions.SnapshotEvery journaled
 // records the resolver rotates the log, writes a snapshot of its full state
@@ -33,10 +34,6 @@ import (
 	"entityres/internal/wal"
 )
 
-// replayCtx is the context recovery replays under: replay never cancels,
-// so every journaled operation re-applies deterministically.
-var replayCtx = context.Background()
-
 // Record is one resolver operation in its journaled, replayable form.
 type Record struct {
 	// Kind is the operation.
@@ -51,7 +48,7 @@ type Record struct {
 	Advance bool
 	// ID is the handle the operation targets — for inserts, the handle the
 	// resolver is about to assign, which replay verifies (and uses to
-	// reproduce slots burned by rolled-back inserts).
+	// reproduce burned slots).
 	ID entity.ID
 	// URI and Source describe an inserted description.
 	URI    string
@@ -72,7 +69,8 @@ type Journal interface {
 	// Record durably appends rec before the resolver applies it.
 	Record(rec Record) error
 	// Rollback retracts the most recently recorded record after its apply
-	// failed, so the journal holds exactly the acknowledged operations.
+	// failed (a cancelled reconcile), so the journal holds exactly the
+	// acknowledged work.
 	Rollback() error
 	// Checkpoint durably persists an encoded snapshot (full, or a delta
 	// chain link) and truncates the journal so recovery replays only
@@ -485,21 +483,25 @@ func (r *Resolver) LastRecord() (Record, bool) {
 	return *r.lastRecord, true
 }
 
-// SpanOps reports how many stream operations the record carries: the batch
-// length for an OpBatch record, 1 for everything else. Crash repair uses it
-// to size the window a single lost append can open.
-func (rec Record) SpanOps() int64 {
+// Ops returns the operations the record carries: the sub-records of an
+// OpBatch record, the record itself otherwise (a batch of one is journaled
+// bare).
+func (rec Record) Ops() []Record {
 	if rec.Kind == OpBatch {
-		return int64(len(rec.Batch))
+		return rec.Batch
 	}
-	return 1
+	return []Record{rec}
 }
+
+// SpanOps reports how many stream operations the record carries. Crash
+// repair uses it to size the window a single lost append can open.
+func (rec Record) SpanOps() int64 { return int64(len(rec.Ops())) }
 
 var errClosed = fmt.Errorf("incremental: resolver is closed")
 
 // ErrBroken marks a resolver whose journal has diverged from memory — a
-// reconcile could not be journaled, or a rollback after a failed apply
-// itself failed. Every further mutation AND every reconciling read fails
+// reconcile could not be journaled or retracted, or an admitted operation
+// failed mid-apply (which validation makes unreachable). Every further mutation AND every reconciling read fails
 // with an error wrapping it (errors.Is(err, ErrBroken)): the in-memory
 // state may still be readable, but serving it while the log cannot
 // reproduce it would hide the divergence until the next crash made it
@@ -588,7 +590,7 @@ func (r *Resolver) compactLocked() error {
 	return nil
 }
 
-// retractRecord rolls the journal back after a failed apply. If the
+// retractRecord rolls the journal back after a failed reconcile. If the
 // rollback itself fails the journal no longer mirrors memory, so the
 // resolver refuses every further mutation rather than let the divergence
 // reach disk. Callers hold r.mu.
@@ -598,10 +600,9 @@ func (r *Resolver) retractRecord() {
 	}
 }
 
-// replayRecord re-applies one journaled operation during recovery, under a
-// background context (replay never cancels). Handle gaps between the next
-// free slot and an insert record's assigned handle reproduce the slots that
-// rolled-back inserts burned in the original run.
+// replayRecord re-applies one journaled operation during recovery. Handle
+// gaps between the next free slot and an insert record's assigned handle
+// reproduce burned slots (see burnSlot).
 func (r *Resolver) replayRecord(rec Record) error {
 	if rec.Seq > 0 {
 		// A routed-stream record (see routed.go): replayed through the routed
@@ -619,7 +620,7 @@ func (r *Resolver) replayRecord(rec Record) error {
 			r.burnSlot()
 		}
 		d := &entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		id, err := r.applyInsert(replayCtx, d)
+		id, err := r.applyInsert(d)
 		if err != nil {
 			return fmt.Errorf("incremental: replaying insert of %q: %w", rec.URI, err)
 		}
@@ -631,7 +632,7 @@ func (r *Resolver) replayRecord(rec Record) error {
 		if !r.isLive(rec.ID) {
 			return fmt.Errorf("incremental: journal updates handle %d, which is not live at this point of the log", rec.ID)
 		}
-		if err := r.applyUpdate(replayCtx, rec.ID, rec.Attrs); err != nil {
+		if err := r.applyUpdate(rec.ID, rec.Attrs); err != nil {
 			return fmt.Errorf("incremental: replaying update of %d: %w", rec.ID, err)
 		}
 		return nil
@@ -647,7 +648,7 @@ func (r *Resolver) replayRecord(rec Record) error {
 		// cached decisions and comparison counts come out identical. During
 		// replay the journal is still the no-op one, so this does not
 		// re-journal.
-		if err := r.reconcile(replayCtx); err != nil {
+		if err := r.reconcile(context.Background()); err != nil {
 			return fmt.Errorf("incremental: replaying reconcile: %w", err)
 		}
 		return nil
@@ -668,9 +669,10 @@ func (r *Resolver) replayRecord(rec Record) error {
 	}
 }
 
-// burnSlot occupies the next collection slot with a dead placeholder — the
-// replay-side image of an insert that was journaled, failed to apply, and
-// was retracted, but had already consumed the slot.
+// burnSlot occupies the next collection slot with a dead placeholder: a
+// routed slot-advance insert, or — on replay of an older journal — the
+// image of an insert that was journaled, cancelled mid-apply and retracted,
+// but had already consumed the slot.
 func (r *Resolver) burnSlot() {
 	r.markSlot(r.coll.Len())
 	r.coll.MustAdd(&entity.Description{ID: -1})

@@ -243,51 +243,43 @@ func TestCompactionBoundsReplayAndPrunesFiles(t *testing.T) {
 	}
 }
 
-func TestCancelledInsertRollsBackJournalAndBurnsSlot(t *testing.T) {
+// TestReplayBurnsSlotsAtHandleGaps: a journal written while an insert
+// cancelled mid-apply still burned its slot holds a handle gap where the
+// retracted record was. Replay must burn the slot again, so recovered
+// handles, stats and matches line up with the original run.
+func TestReplayBurnsSlotsAtHandleGaps(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig()
-	r, err := incremental.OpenResolver(dir, cfg)
+	log, err := wal.Open(dir, wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := r.Insert(ctx, desc("u:a", "alice smith")); err != nil {
+	for _, rec := range []string{
+		`{"op":"insert","id":0,"uri":"u:a","attrs":[{"name":"name","value":"alice smith"}]}`,
+		`{"op":"insert","id":2,"uri":"u:b","attrs":[{"name":"name","value":"alice smith"}]}`,
+	} {
+		if _, err := log.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A cancelled context aborts delta matching mid-insert: the operation
-	// fails, its journal record is retracted, and the slot is burned.
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := r.Insert(cancelled, desc("u:b", "alice smith")); err == nil {
-		t.Fatal("insert under a cancelled context succeeded")
-	}
-	// The retry lands on a later handle because slot 1 is burned.
-	id, err := r.Insert(ctx, desc("u:b", "alice smith"))
+	r, err := incremental.OpenResolver(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 2 {
-		t.Fatalf("post-rollback insert got handle %d, want 2 (slot 1 burned)", id)
-	}
-	wantStats := mustStats(t, r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery reproduces the burned slot from the handle gap, so handles,
-	// stats and matches all line up.
-	got, err := incremental.OpenResolver(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if id, ok := got.Lookup("u:b"); !ok || id != 2 {
+	defer r.Close()
+	if id, ok := r.Lookup("u:b"); !ok || id != 2 {
 		t.Fatalf("recovered Lookup(u:b) = %d,%v, want 2,true", id, ok)
 	}
-	if st := mustStats(t, got); st != wantStats {
-		t.Fatalf("recovered stats %+v, want %+v", st, wantStats)
+	if _, ok := r.Get(1); ok {
+		t.Fatal("burned slot 1 recovered live")
 	}
-	if n := mustMatches(t, got).Len(); n != 1 {
-		t.Fatalf("recovered %d matches, want 1", n)
+	if st := mustStats(t, r); st.Inserts != 2 || st.Live != 2 || st.Comparisons != 1 || st.Matches != 1 {
+		t.Fatalf("recovered stats %+v, want 2 inserts, 2 live, 1 comparison, 1 match", st)
+	}
+	if id, err := r.Insert(context.Background(), desc("u:c", "carol jones")); err != nil || id != 3 {
+		t.Fatalf("insert after recovery = %d,%v, want handle 3 past the burned slot", id, err)
 	}
 }
 
@@ -520,6 +512,69 @@ func TestCorruptJournalRecordsFailRecovery(t *testing.T) {
 	}
 }
 
+// TestCancelledUpdateRollsBackCompletely: an Update under a done context is
+// refused before it is journaled or applied — previous attributes, block
+// membership and matches stay as they were — so memory, the journal and
+// crash recovery agree on exactly the acknowledged operations.
+func TestCancelledUpdateRollsBackCompletely(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig()
+	r, err := incremental.OpenResolver(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := r.Insert(ctx, desc("u:a", "bob jones")); err != nil {
+		t.Fatal(err)
+	}
+	idB, err := r.Insert(ctx, desc("u:b", "bob jones"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	preStats := mustStats(t, r)
+	preMatches := renderState(mustMatches(t, r))
+	preBlocks := renderBlocks(r.Blocks())
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := r.Update(cancelled, idB, []entity.Attribute{{Name: "name", Value: "someone else"}}); err == nil {
+		t.Fatal("cancelled update succeeded")
+	}
+	// In memory: exact pre-op state, including b's old attributes.
+	if st := mustStats(t, r); st != preStats {
+		t.Fatalf("stats after refused update %+v, want %+v", st, preStats)
+	}
+	if got := renderState(mustMatches(t, r)); got != preMatches {
+		t.Fatalf("matches after refused update:\n%s\nwant:\n%s", got, preMatches)
+	}
+	if got := renderBlocks(r.Blocks()); got != preBlocks {
+		t.Fatalf("blocks after refused update:\n%s\nwant:\n%s", got, preBlocks)
+	}
+	if d, ok := r.Get(idB); !ok || d.Attrs[0].Value != "bob jones" {
+		t.Fatalf("description after refused update: %v", d)
+	}
+	// A later acknowledged op still resolves against the unchanged b.
+	if _, err := r.Insert(ctx, desc("u:c", "bob jones")); err != nil {
+		t.Fatal(err)
+	}
+	wantStats := mustStats(t, r)
+	wantMatches := renderState(mustMatches(t, r))
+	// Crash and recover: the journal never saw the refused update, and the
+	// replayed state matches memory bit for bit.
+	r.Abandon()
+	got, err := incremental.OpenResolver(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if st := mustStats(t, got); st != wantStats {
+		t.Fatalf("recovered stats %+v, want %+v", st, wantStats)
+	}
+	if g := renderState(mustMatches(t, got)); g != wantMatches {
+		t.Fatalf("recovered matches:\n%s\nwant:\n%s", g, wantMatches)
+	}
+}
+
 // TestMalformedSnapshotFailsRecovery: snapshots that frame correctly but
 // cannot restore — wrong format version, wrong kind, invalid slots, match
 // edges into dead slots, a meta configuration without its weighted graph —
@@ -563,69 +618,5 @@ func TestMalformedSnapshotFailsRecovery(t *testing.T) {
 				t.Fatalf("recovery accepted a %s snapshot", name)
 			}
 		})
-	}
-}
-
-// TestCancelledUpdateRollsBackCompletely: a failed Update must leave no
-// trace — previous attributes, block membership and matches restored, the
-// journal record retracted — so memory, the journal and crash recovery
-// agree on exactly the acknowledged operations (the review found the old
-// "live but unresolved" halfway state diverging from its own journal).
-func TestCancelledUpdateRollsBackCompletely(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig()
-	r, err := incremental.OpenResolver(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := r.Insert(ctx, desc("u:a", "bob jones")); err != nil {
-		t.Fatal(err)
-	}
-	idB, err := r.Insert(ctx, desc("u:b", "bob jones"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preStats := mustStats(t, r)
-	preMatches := renderState(mustMatches(t, r))
-	preBlocks := renderBlocks(r.Blocks())
-
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := r.Update(cancelled, idB, []entity.Attribute{{Name: "name", Value: "someone else"}}); err == nil {
-		t.Fatal("cancelled update succeeded")
-	}
-	// In memory: exact pre-op state, including b's old attributes.
-	if st := mustStats(t, r); st != preStats {
-		t.Fatalf("stats after rollback %+v, want %+v", st, preStats)
-	}
-	if got := renderState(mustMatches(t, r)); got != preMatches {
-		t.Fatalf("matches after rollback:\n%s\nwant:\n%s", got, preMatches)
-	}
-	if got := renderBlocks(r.Blocks()); got != preBlocks {
-		t.Fatalf("blocks after rollback:\n%s\nwant:\n%s", got, preBlocks)
-	}
-	if d, ok := r.Get(idB); !ok || d.Attrs[0].Value != "bob jones" {
-		t.Fatalf("description after rollback: %v", d)
-	}
-	// A later acknowledged op still resolves against the restored b.
-	if _, err := r.Insert(ctx, desc("u:c", "bob jones")); err != nil {
-		t.Fatal(err)
-	}
-	wantStats := mustStats(t, r)
-	wantMatches := renderState(mustMatches(t, r))
-	// Crash and recover: the journal never saw the failed update, and the
-	// replayed state matches memory bit for bit.
-	r.Abandon()
-	got, err := incremental.OpenResolver(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if st := mustStats(t, got); st != wantStats {
-		t.Fatalf("recovered stats %+v, want %+v", st, wantStats)
-	}
-	if g := renderState(mustMatches(t, got)); g != wantMatches {
-		t.Fatalf("recovered matches:\n%s\nwant:\n%s", g, wantMatches)
 	}
 }

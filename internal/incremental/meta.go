@@ -63,17 +63,18 @@ type PerfCounters struct {
 	// JournalAppends counts journal append operations (Journal.Record
 	// calls, the no-op journal's included — the counter is a pure function
 	// of the operation stream, not of durability). A batch of N operations
-	// costs one append where per-op application costs N: the write-path
-	// amortization measure.
+	// costs one append where N single operations (batches of one) cost N:
+	// the write-path amortization measure.
 	JournalAppends int64
 	// FanOuts counts coordinator shard fan-outs. Shard-local resolvers
 	// never increment it; the sharded and networked coordinators add their
-	// own count when aggregating (one fan-out per op, or per batch).
+	// own count when aggregating (one fan-out per batch; a single
+	// operation is a batch of one).
 	FanOuts int64
 	// TransportRoundTrips counts wire request/ack round trips issued to
 	// shard servers. Only the networked coordinator increments it: a batch
-	// frame carries N routed ops per round trip where the per-op path pays
-	// N round trips per shard.
+	// frame carries N routed ops per round trip where N single operations
+	// pay N round trips per shard.
 	TransportRoundTrips int64
 	// ReadLocks counts shared (read) lock acquisitions across the read
 	// surface and SharedReads the read operations served entirely under the

@@ -64,29 +64,61 @@ type Op struct {
 	Attrs []entity.Attribute
 }
 
-// Apply executes one URI-addressed operation on the resolver.
-func (r *Resolver) Apply(ctx context.Context, op Op) error {
-	switch op.Kind {
-	case OpInsert:
-		d := &entity.Description{ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-		_, err := r.Insert(ctx, d)
-		return err
-	case OpUpdate:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("incremental: update of unknown URI %q", op.URI)
-		}
-		return r.Update(ctx, id, op.Attrs)
-	case OpDelete:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("incremental: delete of unknown URI %q", op.URI)
-		}
-		return r.Delete(id)
-	default:
-		return fmt.Errorf("incremental: unknown op kind %v", op.Kind)
-	}
+// Batcher is the one apply path every deployment form implements: the
+// single-node resolver, the in-process sharded coordinator and the
+// networked coordinator. Their single-operation methods are batches of one
+// built by the helpers below, so the forms convert operations in one place.
+type Batcher interface {
+	ApplyBatch(ctx context.Context, recs []Record) error
 }
+
+// InsertOne applies a one-record insert batch and returns the handle it
+// assigned. The context gates admission only.
+func InsertOne(ctx context.Context, b Batcher, d *entity.Description) (entity.ID, error) {
+	if d == nil {
+		return -1, fmt.Errorf("incremental: insert of nil description")
+	}
+	recs := []Record{{Kind: OpInsert, URI: d.URI, Source: d.Source, Attrs: d.Attrs}}
+	if err := b.ApplyBatch(ctx, recs); err != nil {
+		return -1, err
+	}
+	return recs[0].ID, nil
+}
+
+// UpdateOne applies a one-record update batch to the live handle id.
+func UpdateOne(ctx context.Context, b Batcher, id entity.ID, attrs []entity.Attribute) error {
+	if id < 0 {
+		return fmt.Errorf("incremental: update of unknown description %d", id)
+	}
+	return b.ApplyBatch(ctx, []Record{{Kind: OpUpdate, ID: id, Attrs: attrs}})
+}
+
+// DeleteOne applies a one-record delete batch to the live handle id.
+func DeleteOne(ctx context.Context, b Batcher, id entity.ID) error {
+	if id < 0 {
+		return fmt.Errorf("incremental: delete of unknown description %d", id)
+	}
+	return b.ApplyBatch(ctx, []Record{{Kind: OpDelete, ID: id}})
+}
+
+// ApplyOne applies one URI-addressed operation as a batch of one.
+func ApplyOne(ctx context.Context, b Batcher, op Op) error {
+	return b.ApplyBatch(ctx, OpRecords([]Op{op}))
+}
+
+// OpRecords renders URI-addressed operations as batch records. Updates and
+// deletes carry ID -1, which batch planning resolves by URI (the zero value
+// would address handle 0).
+func OpRecords(ops []Op) []Record {
+	recs := make([]Record, len(ops))
+	for i, op := range ops {
+		recs[i] = Record{Kind: op.Kind, ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
+	}
+	return recs
+}
+
+// Apply executes one URI-addressed operation on the resolver.
+func (r *Resolver) Apply(ctx context.Context, op Op) error { return ApplyOne(ctx, r, op) }
 
 // opJSON is the wire form of an Op: one JSON object per line.
 type opJSON struct {

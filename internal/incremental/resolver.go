@@ -247,154 +247,65 @@ func New(cfg Config) (*Resolver, error) {
 func (r *Resolver) Kind() entity.Kind { return r.cfg.Kind }
 
 // Insert adds a new description and resolves it against its delta frontier:
-// only the pairs its blocking keys suggest are compared. The description is
-// cloned; the caller keeps ownership of d. It returns the internal handle
-// of the description. Non-empty URIs must be unique across live
-// descriptions. The operation is journaled before it is applied; a failed
-// apply retracts the journal record, so the journal always holds exactly
-// the acknowledged operations.
+// only the pairs its blocking keys suggest are compared. It is a batch of
+// one (InsertOne): the description is cloned, the caller keeps ownership of
+// d, and the internal handle is returned. Non-empty URIs must be unique
+// across live descriptions.
 func (r *Resolver) Insert(ctx context.Context, d *entity.Description) (entity.ID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.broken != nil {
-		return -1, r.broken
-	}
-	if d == nil {
-		return -1, fmt.Errorf("incremental: insert of nil description")
-	}
-	if d.URI != "" {
-		if _, taken := r.byURI[d.URI]; taken {
-			return -1, fmt.Errorf("incremental: URI %q already live", d.URI)
-		}
-	}
-	// The next collection slot is deterministic, so the record can carry
-	// the handle the apply below will assign.
-	rec := Record{Kind: OpInsert, ID: r.coll.Len(), URI: d.URI, Source: d.Source, Attrs: d.Attrs}
-	if err := r.journal.Record(rec); err != nil {
-		return -1, err
-	}
-	r.perf.JournalAppends++
-	id, err := r.applyInsert(ctx, d)
-	if err != nil {
-		r.retractRecord()
-		return -1, err
-	}
-	return id, r.maybeCompact()
-}
-
-// applyInsert is Insert's state mutation, shared with journal replay.
-// Callers hold r.mu and have validated the description.
-func (r *Resolver) applyInsert(ctx context.Context, d *entity.Description) (entity.ID, error) {
-	cp := d.Clone()
-	id, err := r.coll.Add(cp)
-	if err != nil {
-		return -1, fmt.Errorf("incremental: %w", err)
-	}
-	// The new slot is snapshot dirt whether the insert lands or burns.
-	r.markSlot(id)
-	r.live = append(r.live, true)
-	if cp.URI != "" {
-		r.byURI[cp.URI] = id
-	}
-	if err := r.index(ctx, id); err != nil {
-		// Roll the insert back to a tombstone: the slot is burned but the
-		// resolved state is exactly what it was before the operation.
-		r.live[id] = false
-		if cp.URI != "" {
-			delete(r.byURI, cp.URI)
-		}
-		return -1, err
-	}
-	r.liveCount++
-	r.stats.Inserts++
-	r.lastRecord = &Record{Kind: OpInsert, ID: id, URI: cp.URI, Source: cp.Source, Attrs: cp.Attrs}
-	return id, nil
+	return InsertOne(ctx, r, d)
 }
 
 // Update replaces the attributes of the live description with the given
 // handle and re-resolves it: its old matches are retired, its block
 // membership is re-keyed, and only pairs in the new delta frontier are
-// compared. The source of a description is immutable. If the context is
-// cancelled mid-operation the update is rolled back entirely — previous
-// attributes, block membership and matches restored — and its journal
-// record retracted, so memory, journal and crash recovery keep agreeing on
-// exactly the acknowledged operations.
+// compared. The source of a description is immutable. A batch of one.
 func (r *Resolver) Update(ctx context.Context, id entity.ID, attrs []entity.Attribute) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.broken != nil {
-		return r.broken
-	}
-	if !r.isLive(id) {
-		return fmt.Errorf("incremental: update of unknown description %d", id)
-	}
-	rec := Record{Kind: OpUpdate, ID: id, Attrs: attrs}
-	if err := r.journal.Record(rec); err != nil {
-		return err
-	}
-	r.perf.JournalAppends++
-	if err := r.applyUpdate(ctx, id, attrs); err != nil {
-		r.retractRecord()
-		return err
-	}
-	return r.maybeCompact()
-}
-
-// applyUpdate is Update's state mutation, shared with journal replay.
-// Callers hold r.mu and have checked liveness.
-func (r *Resolver) applyUpdate(ctx context.Context, id entity.ID, attrs []entity.Attribute) error {
-	// Capture what retire destroys, so a failed re-index (cancellation
-	// inside delta matching — only reachable without meta-blocking, whose
-	// deferred path never matches here) can restore the exact pre-op state.
-	// The old key slice stays valid after the index drops its map entry.
-	d := r.coll.Get(id)
-	oldAttrs := d.Attrs
-	oldKeys := r.blocks.Keys(id)
-	oldEdges := r.dyn.Graph().Neighbors(id)
-	r.markSlot(id)
-	r.retire(id)
-	d.Attrs = append([]entity.Attribute(nil), attrs...)
-	if err := r.index(ctx, id); err != nil {
-		d.Attrs = oldAttrs
-		if aerr := r.blocks.Add(id, d.Source, oldKeys); aerr != nil {
-			// Cannot happen for a just-retired live description; if it ever
-			// does, memory no longer matches the journal — stop mutating.
-			r.broken = fmt.Errorf("%w: update rollback failed: %v", ErrBroken, aerr)
-			return err
-		}
-		for _, nb := range oldEdges {
-			r.dyn.AddEdge(id, nb, 1)
-			r.markMatchEdge(id, nb)
-		}
-		return err
-	}
-	r.stats.Updates++
-	r.lastRecord = &Record{Kind: OpUpdate, ID: id, Attrs: d.Attrs}
-	return nil
+	return UpdateOne(ctx, r, id, attrs)
 }
 
 // Delete removes the live description with the given handle: its blocks
 // shed the member, its match edges disappear, and its cluster is split by
-// targeted recomputation. No comparisons are executed.
+// targeted recomputation. No comparisons are executed. A batch of one.
 func (r *Resolver) Delete(id entity.ID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.broken != nil {
-		return r.broken
-	}
-	if !r.isLive(id) {
-		return fmt.Errorf("incremental: delete of unknown description %d", id)
-	}
-	if err := r.journal.Record(Record{Kind: OpDelete, ID: id}); err != nil {
-		return err
-	}
-	r.perf.JournalAppends++
-	r.applyDelete(id)
-	return r.maybeCompact()
+	return DeleteOne(context.Background(), r, id)
 }
 
-// applyDelete is Delete's state mutation, shared with journal replay; it
-// cannot fail. Callers hold r.mu and have checked liveness.
+// applyInsert is an insert's state mutation, shared by ApplyBatch, journal
+// replay and the routed path. Callers hold r.mu and have validated the
+// description; the only failure is entity.Collection.Add refusing it, which
+// leaves the state untouched.
+func (r *Resolver) applyInsert(d *entity.Description) (entity.ID, error) {
+	cp := d.Clone()
+	id, err := r.coll.Add(cp)
+	if err != nil {
+		return -1, fmt.Errorf("incremental: %w", err)
+	}
+	r.markSlot(id)
+	r.live = append(r.live, true)
+	if cp.URI != "" {
+		r.byURI[cp.URI] = id
+	}
+	r.liveCount++
+	r.stats.Inserts++
+	r.lastRecord = &Record{Kind: OpInsert, ID: id, URI: cp.URI, Source: cp.Source, Attrs: cp.Attrs}
+	return id, r.index(id)
+}
+
+// applyUpdate is an update's state mutation, shared by ApplyBatch, journal
+// replay and the routed path. Callers hold r.mu and have checked liveness.
+func (r *Resolver) applyUpdate(id entity.ID, attrs []entity.Attribute) error {
+	d := r.coll.Get(id)
+	r.markSlot(id)
+	r.retire(id)
+	d.Attrs = append([]entity.Attribute(nil), attrs...)
+	r.stats.Updates++
+	r.lastRecord = &Record{Kind: OpUpdate, ID: id, Attrs: d.Attrs}
+	return r.index(id)
+}
+
+// applyDelete is a delete's state mutation, shared by ApplyBatch, journal
+// replay and the routed path; it cannot fail. Callers hold r.mu and have
+// checked liveness.
 func (r *Resolver) applyDelete(id entity.ID) {
 	r.markSlot(id)
 	r.retire(id)
@@ -408,14 +319,15 @@ func (r *Resolver) applyDelete(id entity.ID) {
 	r.lastRecord = &Record{Kind: OpDelete, ID: id}
 }
 
-// ApplyBatch applies a batch of insert, update and delete records as one
-// amortized operation: one lock acquisition, one journal append carrying
-// the whole batch (one fsync instead of N — crash recovery replays the
-// batch atomically or not at all), and, under live meta-blocking, one
-// merged graph delta for the next read's reconcile to prune instead of N
-// per-op deltas. The resolved state after ApplyBatch is bit-identical to
-// applying the same records one at a time through Insert, Update and
-// Delete.
+// ApplyBatch is the resolver's one apply path: it applies a batch of
+// insert, update and delete records as one amortized operation — one lock
+// acquisition, one journal append carrying the whole batch (one fsync
+// instead of N — crash recovery replays the batch atomically or not at
+// all), and, under live meta-blocking, one merged graph delta for the next
+// read's reconcile to prune instead of N per-op deltas. Insert, Update,
+// Delete and Apply are batches of one, journaled as the bare operation
+// record (see journalEntry); the resolved state after a batch is
+// bit-identical to applying its records one at a time.
 //
 // Records are validated up front against the sequential state the batch
 // builds — later records see earlier ones, so a batch may insert a
@@ -442,33 +354,51 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []Record) error {
 	if err := r.validateBatch(recs); err != nil {
 		return err
 	}
+	entry := journalEntry(recs)
+	if err := r.journal.Record(entry); err != nil {
+		return err
+	}
+	r.perf.JournalAppends++
+	for i := range recs {
+		if err := r.applyBatchRecord(&recs[i]); err != nil {
+			// Validation makes this unreachable. If it ever happens memory may
+			// hold a partial apply the journal cannot reproduce, so refuse
+			// further mutation rather than let the divergence reach a snapshot.
+			r.broken = fmt.Errorf("%w: batch record %d failed mid-apply: %v", ErrBroken, i, err)
+			return r.broken
+		}
+	}
+	if entry.Kind == OpBatch {
+		r.lastRecord = &entry
+	}
+	return r.maybeCompact()
+}
+
+// journalEntry renders a validated batch as its single journal record. A
+// batch of one is the bare operation in the per-op record shape — so a
+// single mutation's WAL bytes, replay and LastRecord are exactly what they
+// always were — and the apply helpers record it as lastRecord themselves.
+// A longer batch is an OpBatch record holding private copies of the
+// sub-records, since it outlives the call as lastRecord.
+func journalEntry(recs []Record) Record {
+	if len(recs) == 1 {
+		rec := recs[0]
+		switch rec.Kind {
+		case OpInsert:
+			return Record{Kind: OpInsert, ID: rec.ID, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
+		case OpUpdate:
+			return Record{Kind: OpUpdate, ID: rec.ID, Attrs: rec.Attrs}
+		default:
+			return Record{Kind: OpDelete, ID: rec.ID}
+		}
+	}
 	batch := Record{Kind: OpBatch, Batch: make([]Record, len(recs))}
 	for i, rec := range recs {
 		rec.Attrs = append([]entity.Attribute(nil), rec.Attrs...)
 		rec.Batch = nil
 		batch.Batch[i] = rec
 	}
-	if err := r.journal.Record(batch); err != nil {
-		return err
-	}
-	r.perf.JournalAppends++
-	for i := range batch.Batch {
-		if err := r.applyBatchRecord(&batch.Batch[i]); err != nil {
-			if i == 0 {
-				// Nothing applied yet — the single append retracts cleanly.
-				r.retractRecord()
-				return err
-			}
-			// A mid-batch failure cannot be rolled back op by op: the journal
-			// holds the whole batch while memory holds a prefix. Validation
-			// makes this unreachable; if it ever happens, refuse further
-			// mutation rather than let the divergence reach a snapshot.
-			r.broken = fmt.Errorf("%w: batch record %d failed mid-apply: %v", ErrBroken, i, err)
-			return r.broken
-		}
-	}
-	r.lastRecord = &batch
-	return r.maybeCompact()
+	return batch
 }
 
 // validateBatch checks every record of a batch against the sequential
@@ -522,28 +452,29 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 		}
 		return isLive(id)
 	}
+	// Errors name the offending record, except in a batch of one — a
+	// single Insert, Update or Delete — where there is only one to name.
+	at := func(i int) string {
+		if len(recs) == 1 {
+			return ""
+		}
+		return fmt.Sprintf("batch record %d: ", i)
+	}
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Seq != 0 {
-			return fmt.Errorf("batch record %d carries a routed sequence number; routed streams batch through the transport frame", i)
+			return fmt.Errorf("%scarries a routed sequence number; routed streams batch through the transport frame", at(i))
 		}
 		switch rec.Kind {
 		case OpInsert:
 			// Mirror entity.Collection.Add's source validation so the apply
 			// after journaling cannot fail.
-			switch kind {
-			case entity.CleanClean:
-				if rec.Source != 0 && rec.Source != 1 {
-					return fmt.Errorf("batch record %d: clean-clean stream requires source 0 or 1, got %d", i, rec.Source)
-				}
-			default:
-				if rec.Source != 0 {
-					return fmt.Errorf("batch record %d: dirty stream requires source 0, got %d", i, rec.Source)
-				}
+			if err := validSource(kind, rec.Source); err != nil {
+				return fmt.Errorf("%s%w", at(i), err)
 			}
 			if rec.URI != "" {
 				if _, taken := lookupOv(rec.URI); taken {
-					return fmt.Errorf("batch record %d: URI %q already live", i, rec.URI)
+					return fmt.Errorf("%sURI %q already live", at(i), rec.URI)
 				}
 			}
 			rec.ID = nextID
@@ -557,12 +488,12 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 			if rec.ID < 0 {
 				id, ok := lookupOv(rec.URI)
 				if !ok {
-					return fmt.Errorf("batch record %d: %s of unknown URI %q", i, rec.Kind, rec.URI)
+					return fmt.Errorf("%s%s of unknown URI %q", at(i), rec.Kind, rec.URI)
 				}
 				rec.ID = id
 			}
 			if !isLiveOv(rec.ID) {
-				return fmt.Errorf("batch record %d: %s of unknown description %d", i, rec.Kind, rec.ID)
+				return fmt.Errorf("%s%s of unknown description %d", at(i), rec.Kind, rec.ID)
 			}
 			if rec.Kind == OpDelete {
 				liveOv[rec.ID] = false
@@ -578,16 +509,31 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 				}
 			}
 		default:
-			return fmt.Errorf("batch record %d has kind %v; batches hold inserts, updates and deletes", i, rec.Kind)
+			return fmt.Errorf("%sunknown op kind %v; batches hold inserts, updates and deletes", at(i), rec.Kind)
 		}
 	}
 	return nil
 }
 
-// applyBatchRecord applies one validated batch sub-record. An admitted
-// batch completes — application runs under the never-cancelled replay
-// context — so the only failures are "cannot happen" divergences the
-// caller escalates. Callers hold r.mu.
+// validSource mirrors entity.Collection.Add's source check for a stream of
+// the given kind.
+func validSource(kind entity.Kind, source int) error {
+	switch kind {
+	case entity.CleanClean:
+		if source != 0 && source != 1 {
+			return fmt.Errorf("clean-clean stream requires source 0 or 1, got %d", source)
+		}
+	default:
+		if source != 0 {
+			return fmt.Errorf("dirty stream requires source 0, got %d", source)
+		}
+	}
+	return nil
+}
+
+// applyBatchRecord applies one validated batch sub-record. Validation makes
+// every failure a "cannot happen" divergence the caller escalates. Callers
+// hold r.mu.
 func (r *Resolver) applyBatchRecord(rec *Record) error {
 	switch rec.Kind {
 	case OpInsert:
@@ -595,10 +541,10 @@ func (r *Resolver) applyBatchRecord(rec *Record) error {
 			return fmt.Errorf("incremental: batch insert assigned handle %d but %d slots exist", rec.ID, r.coll.Len())
 		}
 		d := &entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		_, err := r.applyInsert(replayCtx, d)
+		_, err := r.applyInsert(d)
 		return err
 	case OpUpdate:
-		return r.applyUpdate(replayCtx, rec.ID, rec.Attrs)
+		return r.applyUpdate(rec.ID, rec.Attrs)
 	case OpDelete:
 		r.applyDelete(rec.ID)
 		return nil
@@ -653,8 +599,10 @@ func (r *Resolver) retire(id entity.ID) {
 // instead flows into the weighted blocking graph (via the membership
 // observer) and matching is deferred to the next read's reconcile, which
 // prunes the accumulated frontier before the matcher sees it — see
-// meta.go. Callers hold r.mu.
-func (r *Resolver) index(ctx context.Context, id entity.ID) error {
+// meta.go. An admitted operation always completes, so matching runs under
+// a context that never cancels; the only failure is the block index
+// refusing a description validation already accepted. Callers hold r.mu.
+func (r *Resolver) index(id entity.ID) error {
 	d := r.coll.Get(id)
 	if err := r.blocks.Add(id, d.Source, r.keyer(d)); err != nil {
 		return fmt.Errorf("incremental: %w", err)
@@ -674,16 +622,8 @@ func (r *Resolver) index(ctx context.Context, id entity.ID) error {
 	if delta.TotalComparisons() < sequentialDeltaMax {
 		workers = 1
 	}
-	out, err := matching.ResolveBlocksParallel(ctx, r.coll, delta, r.cfg.Matcher, workers)
+	out, err := matching.ResolveBlocksParallel(context.Background(), r.coll, delta, r.cfg.Matcher, workers)
 	if err != nil {
-		// The context fired mid-delta: some candidate pairs of id were
-		// never evaluated. Roll the description back out so the maintained
-		// state never holds a partially resolved member; the caller can
-		// retry the operation. The aborted delta's partial comparisons are
-		// not counted — Stats.Comparisons sums successful operations only,
-		// keeping it equal to a batch run's count on insert-only streams.
-		r.blocks.Remove(id)
-		r.dyn.RemoveNode(id)
 		return fmt.Errorf("incremental: delta matching: %w", err)
 	}
 	r.stats.Comparisons += out.Comparisons
@@ -846,8 +786,8 @@ func (r *Resolver) Counters() Stats {
 
 // Slots returns the number of handle slots the resolver has assigned —
 // live, dead and burned alike. This is the next insert's handle, which is
-// NOT derivable from Counters(): a cancelled insert burns its slot without
-// counting as an insert.
+// NOT derivable from Counters(): a slot burned on replay (see burnSlot)
+// counts as no insert.
 func (r *Resolver) Slots() int {
 	r.rlock()
 	defer r.mu.RUnlock()

@@ -186,6 +186,10 @@ func TestResolverErrors(t *testing.T) {
 	}
 }
 
+// TestResolverCancelledInsertRollsBack: an insert under a done context is
+// refused at admission and leaves no trace — the URI stays unknown, the
+// stats and the comparison count are untouched — and the stream keeps
+// working afterwards.
 func TestResolverCancelledInsertRollsBack(t *testing.T) {
 	r := newTestResolver(t, entity.Dirty)
 	ctx := context.Background()
@@ -203,9 +207,7 @@ func TestResolverCancelledInsertRollsBack(t *testing.T) {
 	if st := mustStats(t, r); st.Live != 1 || st.Matches != 0 {
 		t.Fatalf("state after cancelled insert: %s", st)
 	}
-	// The stream keeps working afterwards, and the aborted attempt left no
-	// trace in the comparison count: retrying yields exactly the one
-	// comparison a clean insert performs.
+	// Retrying yields exactly the one comparison a clean insert performs.
 	if _, err := r.Insert(ctx, person("u:b", "alice smith", "berlin")); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestResolverCancelledInsertRollsBack(t *testing.T) {
 		t.Fatalf("matches = %d, want 1", mustMatches(t, r).Len())
 	}
 	if st := mustStats(t, r); st.Comparisons != 1 {
-		t.Fatalf("comparisons = %d, want 1 (aborted deltas must not count)", st.Comparisons)
+		t.Fatalf("comparisons = %d, want 1 (refused ops must not count)", st.Comparisons)
 	}
 }
 

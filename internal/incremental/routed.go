@@ -89,12 +89,16 @@ func (r *Resolver) LastSeq() uint64 {
 // acknowledged and is acknowledged again without being re-applied (the
 // idempotent-replay half of the transport's retry protocol), a record
 // beyond LastSeq+1 is refused as a gap. The operation is journaled before
-// it is applied, exactly like the direct Insert/Update/Delete path.
+// it is applied, exactly like ApplyBatch, and like ApplyBatch the context
+// gates admission only.
 func (r *Resolver) ApplyRouted(ctx context.Context, op RoutedOp) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.broken != nil {
 		return r.broken
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("incremental: routed admission: %w", err)
 	}
 	if op.Seq == 0 {
 		return fmt.Errorf("incremental: routed records are numbered from 1")
@@ -113,9 +117,11 @@ func (r *Resolver) ApplyRouted(ctx context.Context, op RoutedOp) error {
 		return err
 	}
 	r.perf.JournalAppends++
-	if err := r.applyRouted(ctx, op); err != nil {
-		r.retractRecord()
-		return err
+	if err := r.applyRouted(op); err != nil {
+		// Validation makes this unreachable; a failed apply may be partial,
+		// so refuse further mutation rather than diverge from the journal.
+		r.broken = fmt.Errorf("%w: routed record %d failed mid-apply: %v", ErrBroken, op.Seq, err)
+		return r.broken
 	}
 	r.lastSeq = op.Seq
 	return r.maybeCompact()
@@ -136,6 +142,11 @@ func (r *Resolver) validateRouted(op RoutedOp) error {
 	default:
 		return fmt.Errorf("incremental: routed record has kind %v", op.Kind)
 	}
+	// A payload can materialize the description here (insert, or an update
+	// of a slot-advanced one), so its source must be one the index accepts.
+	if err := validSource(r.cfg.Kind, op.Source); err != nil {
+		return fmt.Errorf("incremental: routed %s: %w", op.Kind, err)
+	}
 	// Payload-carrying records can introduce a URI to this shard (insert, or
 	// an update materializing a slot-advanced description); the coordinator
 	// validates uniqueness globally, but a collision here would corrupt the
@@ -153,7 +164,7 @@ func (r *Resolver) validateRouted(op RoutedOp) error {
 // slot-advance — so a shard's Inserts/Updates/Deletes always equal the
 // global stream's, whatever fraction of the payloads it received. Callers
 // hold r.mu and have validated the record.
-func (r *Resolver) applyRouted(ctx context.Context, op RoutedOp) error {
+func (r *Resolver) applyRouted(op RoutedOp) error {
 	switch op.Kind {
 	case OpInsert:
 		if op.Advance {
@@ -166,13 +177,11 @@ func (r *Resolver) applyRouted(ctx context.Context, op RoutedOp) error {
 			return nil
 		}
 		d := &entity.Description{ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-		id, err := r.applyInsert(ctx, d)
+		id, err := r.applyInsert(d)
 		if err != nil {
 			return err
 		}
 		if id != op.ID {
-			// applyInsert burned the slot on failure only; success always
-			// lands on the validated next slot.
 			return fmt.Errorf("incremental: routed insert landed at handle %d, coordinator assigned %d", id, op.ID)
 		}
 		return nil
@@ -182,9 +191,9 @@ func (r *Resolver) applyRouted(ctx context.Context, op RoutedOp) error {
 			return nil
 		}
 		if r.isLive(op.ID) {
-			return r.applyUpdate(ctx, op.ID, op.Attrs)
+			return r.applyUpdate(op.ID, op.Attrs)
 		}
-		return r.materialize(ctx, op)
+		return r.materialize(op)
 	case OpDelete:
 		// A delete clears the slot wherever it is locally live, slot-advance
 		// or not: a shard that owned the description's OLD keys retired its
@@ -207,10 +216,8 @@ func (r *Resolver) applyRouted(ctx context.Context, op RoutedOp) error {
 
 // materialize turns a placeholder slot into a live, indexed description:
 // the routed-update path of a shard that now owns one of the description's
-// keys but slot-advanced its insert. On failure (context cancellation
-// inside delta matching) the slot reverts to its placeholder state.
-// Callers hold r.mu.
-func (r *Resolver) materialize(ctx context.Context, op RoutedOp) error {
+// keys but slot-advanced its insert. Callers hold r.mu.
+func (r *Resolver) materialize(op RoutedOp) error {
 	r.markSlot(op.ID)
 	d := r.coll.Get(op.ID)
 	d.URI, d.Source = op.URI, op.Source
@@ -219,17 +226,9 @@ func (r *Resolver) materialize(ctx context.Context, op RoutedOp) error {
 	if d.URI != "" {
 		r.byURI[d.URI] = op.ID
 	}
-	if err := r.index(ctx, op.ID); err != nil {
-		r.live[op.ID] = false
-		if d.URI != "" {
-			delete(r.byURI, d.URI)
-		}
-		d.URI, d.Source, d.Attrs = "", 0, nil
-		return err
-	}
 	r.liveCount++
 	r.stats.Updates++
-	return nil
+	return r.index(op.ID)
 }
 
 // replayRouted re-applies one journaled routed record during recovery.
@@ -242,7 +241,7 @@ func (r *Resolver) replayRouted(rec Record) error {
 	if err := r.validateRouted(op); err != nil {
 		return err
 	}
-	if err := r.applyRouted(replayCtx, op); err != nil {
+	if err := r.applyRouted(op); err != nil {
 		return fmt.Errorf("incremental: replaying routed record %d: %w", rec.Seq, err)
 	}
 	r.lastSeq = rec.Seq

@@ -159,6 +159,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	httpSrv *http.Server
+	// stopped is set by Drain and Close: a stopped server never serves
+	// again, whether or not Serve had started before the stop.
+	stopped bool
 }
 
 // NewServer wraps res. The caller keeps ownership of res: Close/Drain stop
@@ -192,12 +195,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Serve answers requests on lis until Drain or Close.
+// Serve answers requests on lis until Drain or Close. A server serves at
+// most once: Serve after another Serve, Drain or Close closes lis and fails.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.httpSrv != nil {
+	if s.httpSrv != nil || s.stopped {
 		s.mu.Unlock()
 		lis.Close()
+		if s.stopped {
+			return fmt.Errorf("serve: server was drained or closed")
+		}
 		return fmt.Errorf("serve: server already started")
 	}
 	srv := &http.Server{Handler: s.Handler()}
@@ -221,6 +228,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.coal.drain()
 	}
 	s.mu.Lock()
+	s.stopped = true
 	srv := s.httpSrv
 	s.mu.Unlock()
 	if srv == nil {
@@ -234,6 +242,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close is an immediate teardown: no drain, open connections drop.
 func (s *Server) Close() error {
 	s.mu.Lock()
+	s.stopped = true
 	srv := s.httpSrv
 	s.mu.Unlock()
 	if srv == nil {

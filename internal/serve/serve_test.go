@@ -371,3 +371,40 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal("Serve did not return after Close")
 	}
 }
+
+// TestServeRefusedAfterStop: a server that was drained or closed before it
+// ever served must not start serving later — Serve fails and releases the
+// listener instead of bringing up a live server nobody can stop.
+func TestServeRefusedAfterStop(t *testing.T) {
+	for name, stop := range map[string]func(*serve.Server) error{
+		"drain": func(s *serve.Server) error { return s.Drain(context.Background()) },
+		"close": (*serve.Server).Close,
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := serve.NewServer(openTestResolver(t), serve.Options{})
+			if err := stop(srv); err != nil {
+				t.Fatalf("%s before Serve: %v", name, err)
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(lis) }()
+			select {
+			case err := <-served:
+				if err == nil {
+					t.Fatalf("Serve after %s returned nil", name)
+				}
+			case <-time.After(2 * time.Second):
+				srv.Close()
+				lis.Close()
+				t.Fatalf("Serve after %s started a live server", name)
+			}
+			if conn, err := net.Dial("tcp", lis.Addr().String()); err == nil {
+				conn.Close()
+				t.Fatalf("listener still accepting after a refused Serve")
+			}
+		})
+	}
+}

@@ -8,9 +8,10 @@
 // (its own wal.Log under dir/coordinator) records exactly the two events
 // that state depends on, in operation order:
 //
-//   - a mutation record per acknowledged operation (the handle it
-//     touched), replayed as a decision-cache invalidation — an update or
-//     delete makes every cached decision involving that handle stale;
+//   - a mutation record per acknowledged batch (the handles it touched;
+//     "mut" for a batch of one), replayed as decision-cache invalidations —
+//     an update or delete makes every cached decision involving that
+//     handle stale;
 //   - a reconcile record per effective reconcile: the matcher-invocation
 //     count and the freshly evaluated decisions (incremental.Decision),
 //     replayed as cache inserts and a counter increment.
@@ -116,36 +117,32 @@ func (r *Resolver) appendCoord(rec coordRecordJSON) error {
 	return nil
 }
 
-// noteMutation journals an acknowledged operation's handle. The record is
-// appended after the shard fan-out succeeds, while the coordinator still
-// holds the operation lock, so the journal and the shard logs agree on the
-// operation order; a crash between the two leaves the journal exactly one
-// operation behind, which reopen repairs. A journal failure poisons the
-// resolver — the disk can no longer reproduce the cache. Callers hold
-// r.mu.
-func (r *Resolver) noteMutation(id entity.ID) {
-	if r.coordJ == nil || r.broken != nil {
-		return
-	}
-	r.coordOps++
-	if err := r.appendCoord(coordRecordJSON{Op: "mut", ID: id}); err != nil {
-		r.broken = fmt.Errorf("sharded: coordinator journal failed, resolver disabled: %v", err)
-	}
-}
-
 // noteBatch journals an acknowledged batch's handles as ONE append — the
-// coordinator-journal counterpart of the shards' single batch record, with
-// the same ordering rule and crash window as noteMutation (reopen repairs a
-// journal that is exactly one batch behind the shards; see
-// openCoordJournal). Callers hold r.mu.
+// coordinator-journal counterpart of the shards' single batch record. A
+// batch of one is journaled as a "mut" record, the per-op shape. The record
+// is appended after the shard fan-out succeeds, while the coordinator
+// still holds the operation lock, so the journal and the shard logs agree
+// on the operation order; a crash between the two leaves the journal
+// exactly one record behind, which reopen repairs (see openCoordJournal).
+// A journal failure poisons the resolver — the disk can no longer
+// reproduce the cache. Callers hold r.mu.
 func (r *Resolver) noteBatch(ids []entity.ID) {
 	if r.coordJ == nil || r.broken != nil {
 		return
 	}
 	r.coordOps += int64(len(ids))
-	if err := r.appendCoord(coordRecordJSON{Op: "batch", IDs: ids}); err != nil {
+	if err := r.appendCoord(mutationRecord(ids)); err != nil {
 		r.broken = fmt.Errorf("sharded: coordinator journal failed, resolver disabled: %v", err)
 	}
+}
+
+// mutationRecord renders the handles of one acknowledged batch as its
+// coordinator-journal record.
+func mutationRecord(ids []entity.ID) coordRecordJSON {
+	if len(ids) == 1 {
+		return coordRecordJSON{Op: "mut", ID: ids[0]}
+	}
+	return coordRecordJSON{Op: "batch", IDs: ids}
 }
 
 // noteReconcile journals an effective reconcile's comparison count and
@@ -336,25 +333,18 @@ func (r *Resolver) openCoordJournal() error {
 		if !okRec {
 			return fmt.Errorf("sharded: coordinator journal is %d operations behind the shards and no shard retains its record; cannot repair", shardOps-r.coordOps)
 		}
-		switch gap := shardOps - r.coordOps; {
-		case last.Kind == incremental.OpBatch && gap == int64(len(last.Batch)):
-			ids := make([]entity.ID, len(last.Batch))
-			for i := range last.Batch {
-				ids[i] = last.Batch[i].ID
-				r.simCache.Invalidate(ids[i])
-			}
-			r.coordOps += gap
-			if err := r.appendCoord(coordRecordJSON{Op: "batch", IDs: ids}); err != nil {
-				return err
-			}
-		case last.Kind != incremental.OpBatch && gap == 1:
-			r.simCache.Invalidate(last.ID)
-			r.coordOps++
-			if err := r.appendCoord(coordRecordJSON{Op: "mut", ID: last.ID}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("sharded: coordinator journal is %d operations behind the shards but the last shard record spans %d — the directory was modified outside the coordinator", gap, last.SpanOps())
+		ops := last.Ops()
+		if gap := shardOps - r.coordOps; gap != int64(len(ops)) {
+			return fmt.Errorf("sharded: coordinator journal is %d operations behind the shards but the last shard record spans %d — the directory was modified outside the coordinator", gap, len(ops))
+		}
+		ids := make([]entity.ID, len(ops))
+		for i := range ops {
+			ids[i] = ops[i].ID
+			r.simCache.Invalidate(ids[i])
+		}
+		r.coordOps += int64(len(ids))
+		if err := r.appendCoord(mutationRecord(ids)); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("sharded: coordinator journal acknowledges %d operations, shards %d — the directory was modified outside the coordinator", r.coordOps, shardOps)

@@ -213,42 +213,22 @@ func (r *Resolver) repairFanoutTear() error {
 }
 
 // applyRecordTo re-applies a donated journal record through a shard's
-// normal operation path, so the shard journals it too and the logs
-// converge.
+// normal apply path, so the shard journals it too and the logs converge.
+// The behind shard replans the donated operations against its own replica
+// (a private copy — planning writes handles back) and journals them as one
+// append, exactly like the interrupted fan-out would have.
 func (r *Resolver) applyRecordTo(sr *incremental.Resolver, rec incremental.Record) error {
-	switch rec.Kind {
-	case incremental.OpInsert:
-		d := &entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		id, err := sr.Insert(fanoutCtx, d)
-		if err != nil {
-			return err
-		}
-		if id != rec.ID {
-			return fmt.Errorf("insert landed at handle %d, the donated record says %d", id, rec.ID)
-		}
-		return nil
-	case incremental.OpUpdate:
-		return sr.Update(fanoutCtx, rec.ID, rec.Attrs)
-	case incremental.OpDelete:
-		return sr.Delete(rec.ID)
-	case incremental.OpBatch:
-		// The behind shard replans the donated batch against its own replica
-		// (a private copy — planning writes handles back) and journals it as
-		// one append, exactly like the interrupted fan-out would have.
-		cp := make([]incremental.Record, len(rec.Batch))
-		copy(cp, rec.Batch)
-		if err := sr.ApplyBatch(fanoutCtx, cp); err != nil {
-			return err
-		}
-		for i := range cp {
-			if cp[i].ID != rec.Batch[i].ID {
-				return fmt.Errorf("batch record %d landed at handle %d, the donated record says %d", i, cp[i].ID, rec.Batch[i].ID)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("donated record has kind %v", rec.Kind)
+	ops := rec.Ops()
+	cp := append([]incremental.Record(nil), ops...)
+	if err := sr.ApplyBatch(fanoutCtx, cp); err != nil {
+		return err
 	}
+	for i := range cp {
+		if cp[i].ID != ops[i].ID {
+			return fmt.Errorf("donated record %d landed at handle %d, the donated record says %d", i, cp[i].ID, ops[i].ID)
+		}
+	}
+	return nil
 }
 
 // RolledForward reports how many shards Open rolled forward to complete an

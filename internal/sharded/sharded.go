@@ -177,9 +177,9 @@ type Resolver struct {
 }
 
 // fanoutCtx is the context shard applies run under: never cancelled, so an
-// admitted operation completes on every shard or fails on every shard for
-// the same deterministic reason — a caller's timeout firing mid-fan-out
-// can never leave the replicas split (see fanout).
+// admitted batch completes on every shard or fails on every shard for the
+// same deterministic reason — a caller's timeout firing mid-fan-out can
+// never leave the replicas split (see fanout).
 var fanoutCtx = context.Background()
 
 // keyOwner maps a blocking key to its owning shard: FNV-1a over the key
@@ -393,18 +393,18 @@ func (r *Resolver) ready() error {
 }
 
 // fanout runs fn against every shard in parallel and reconciles the
-// outcome: all-success applies, all-failure means every shard rolled the
-// operation back (the incremental resolver's failed ops restore their
-// pre-op state), and a partial failure leaves the shards disagreeing — the
-// coordinator then refuses every further mutation rather than widen the
-// divergence (for durable resolvers the journals would disagree too, so
-// the partial-failure path is reserved for genuine faults like a dead
-// shard disk). That is why operations are admitted, not interrupted: the
-// caller's context is checked before the fan-out and deliberately NOT
-// propagated into it — a cancellation observed by some shards and not
-// others is exactly the split this design must never produce. Callers
-// hold r.mu.
-func (r *Resolver) fanout(fn func(sr *incremental.Resolver) error) (allFailed bool, err error) {
+// outcome: all-success applies; all-failure means every shard refused the
+// batch before journaling it (shards validate up front, and an admitted
+// batch applies to completion), so nothing changed anywhere; a partial
+// failure leaves the shards disagreeing — the coordinator then refuses
+// every further mutation rather than widen the divergence (for durable
+// resolvers the journals would disagree too, so the partial-failure path is
+// reserved for genuine faults like a dead shard disk). That is why batches
+// are admitted, not interrupted: the caller's context is checked before the
+// fan-out and deliberately NOT propagated into it — a cancellation observed
+// by some shards and not others is exactly the split this design must
+// never produce. Callers hold r.mu.
+func (r *Resolver) fanout(fn func(sr *incremental.Resolver) error) error {
 	r.perf.FanOuts++
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
@@ -428,12 +428,12 @@ func (r *Resolver) fanout(fn func(sr *incremental.Resolver) error) (allFailed bo
 	}
 	switch {
 	case failed == 0:
-		return false, nil
+		return nil
 	case failed == len(r.shards):
-		return true, first
+		return first
 	default:
 		r.broken = fmt.Errorf("sharded: resolver disabled after a partial shard failure (%d of %d shards failed; first error: %v)", failed, len(r.shards), first)
-		return false, r.broken
+		return r.broken
 	}
 }
 
@@ -479,153 +479,30 @@ func fanRead[T any](shards []*shard, fn func(sr *incremental.Resolver) T) []T {
 }
 
 // Insert adds a new description to every shard and resolves it against the
-// shard-partitioned delta frontier. It returns the internal handle, which
-// is identical on the coordinator and every shard. The context gates
-// admission only: a context that is already done fails the operation
-// before anything is touched, but once admitted the operation runs to
-// completion on every shard — see fanout.
+// shard-partitioned delta frontier, returning the handle — identical on the
+// coordinator and every shard. Like every mutation it is a batch of one,
+// and the context gates admission only.
 func (r *Resolver) Insert(ctx context.Context, d *entity.Description) (entity.ID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return -1, err
-	}
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	if d == nil {
-		return -1, fmt.Errorf("sharded: insert of nil description")
-	}
-	if d.URI != "" {
-		if _, taken := r.byURI[d.URI]; taken {
-			return -1, fmt.Errorf("sharded: URI %q already live", d.URI)
-		}
-	}
-	// Pre-validate what entity.Collection.Add would reject, so a bad
-	// description fails here — before any shard sees it — with the same
-	// reason everywhere.
-	switch r.cfg.Kind {
-	case entity.CleanClean:
-		if d.Source != 0 && d.Source != 1 {
-			return -1, fmt.Errorf("sharded: clean-clean collection requires source 0 or 1, got %d", d.Source)
-		}
-	default:
-		if d.Source != 0 {
-			return -1, fmt.Errorf("sharded: dirty collection requires source 0, got %d", d.Source)
-		}
-	}
-	// The next slot is deterministic; the coordinator's replica slot is
-	// only added once the fan-out succeeds. An all-shards failure can only
-	// come from the journal refusing the record BEFORE anything applied
-	// (the fan-out context never cancels, and validation already passed),
-	// which burns no slot on any shard — so the coordinator must not burn
-	// one either, keeping handles aligned for a retry.
-	id := r.coll.Len()
-	if _, err := r.fanout(func(sr *incremental.Resolver) error {
-		sid, serr := sr.Insert(fanoutCtx, d)
-		if serr != nil {
-			return serr
-		}
-		if sid != id {
-			return fmt.Errorf("sharded: shard assigned handle %d, coordinator expected %d", sid, id)
-		}
-		return nil
-	}); err != nil {
-		return -1, err
-	}
-	cp := d.Clone()
-	r.coll.MustAdd(cp)
-	r.live = append(r.live, true)
-	if cp.URI != "" {
-		r.byURI[cp.URI] = id
-	}
-	r.liveCount++
-	r.stats.Inserts++
-	r.noteMutation(id)
-	r.afterMutation(id, true)
-	return id, nil
+	return incremental.InsertOne(ctx, r, d)
 }
 
 // Update replaces the attributes of the live description with the given
 // handle on every shard and re-resolves its shard-partitioned frontier.
-// Like Insert, the context gates admission only.
 func (r *Resolver) Update(ctx context.Context, id entity.ID, attrs []entity.Attribute) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !r.isLive(id) {
-		return fmt.Errorf("sharded: update of unknown description %d", id)
-	}
-	if _, err := r.fanout(func(sr *incremental.Resolver) error {
-		return sr.Update(fanoutCtx, id, attrs)
-	}); err != nil {
-		return err
-	}
-	r.coll.Get(id).Attrs = append([]entity.Attribute(nil), attrs...)
-	r.stats.Updates++
-	r.noteMutation(id)
-	r.dyn.RemoveNode(id)
-	r.afterMutation(id, true)
-	return nil
+	return incremental.UpdateOne(ctx, r, id, attrs)
 }
 
 // Delete removes the live description with the given handle from every
 // shard; its match edges disappear and its cluster is split.
 func (r *Resolver) Delete(id entity.ID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return err
-	}
-	if !r.isLive(id) {
-		return fmt.Errorf("sharded: delete of unknown description %d", id)
-	}
-	if _, err := r.fanout(func(sr *incremental.Resolver) error {
-		return sr.Delete(id)
-	}); err != nil {
-		return err
-	}
-	d := r.coll.Get(id)
-	if d.URI != "" {
-		delete(r.byURI, d.URI)
-	}
-	r.live[id] = false
-	r.liveCount--
-	r.stats.Deletes++
-	r.noteMutation(id)
-	r.dyn.RemoveNode(id)
-	// The handle is dead for good (slots are never reused), so every
-	// shard lens can drop its memoized key set.
-	for _, sh := range r.shards {
-		sh.lens.evict(id)
-	}
-	r.afterMutation(id, false)
-	return nil
+	return incremental.DeleteOne(context.Background(), r, id)
 }
 
-// afterMutation folds an operation's effect into the coordinator's match
-// state: without meta-blocking the shards matched eagerly, so id's new
-// edges are the union of the shards' neighbors of id; with meta-blocking
-// everything is deferred to the next read's reconcile. Callers hold r.mu.
-func (r *Resolver) afterMutation(id entity.ID, indexed bool) {
-	if r.cfg.Meta != nil {
-		r.simCache.Invalidate(id)
-		r.metaDirty = true
-		return
-	}
-	if !indexed {
-		return
-	}
-	for _, sh := range r.shards {
-		for _, nb := range sh.res.MatchNeighbors(id) {
-			r.dyn.AddEdge(id, nb, 1)
-		}
-	}
+// Apply executes one URI-addressed operation — the same op-log exchange
+// form the single-node resolver accepts, so erctl watch can replay a log
+// through either.
+func (r *Resolver) Apply(ctx context.Context, op incremental.Op) error {
+	return incremental.ApplyOne(ctx, r, op)
 }
 
 // isLive reports whether id is a live slot. Callers hold r.mu.
@@ -651,39 +528,13 @@ func (r *Resolver) Get(id entity.ID) (*entity.Description, bool) {
 	return r.coll.Get(id).Clone(), true
 }
 
-// Apply executes one URI-addressed operation — the same op-log exchange
-// form the single-node resolver accepts, so erctl watch can replay a log
-// through either.
-func (r *Resolver) Apply(ctx context.Context, op incremental.Op) error {
-	switch op.Kind {
-	case incremental.OpInsert:
-		d := &entity.Description{ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-		_, err := r.Insert(ctx, d)
-		return err
-	case incremental.OpUpdate:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("sharded: update of unknown URI %q", op.URI)
-		}
-		return r.Update(ctx, id, op.Attrs)
-	case incremental.OpDelete:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("sharded: delete of unknown URI %q", op.URI)
-		}
-		return r.Delete(id)
-	default:
-		return fmt.Errorf("sharded: unknown op kind %v", op.Kind)
-	}
-}
-
-// ApplyBatch applies a batch of insert, update and delete records as one
-// amortized operation: one admission check, ONE fan-out to the shards
-// (each shard journals the whole batch as a single append through its own
-// ApplyBatch — one fsync per shard instead of N), and one coordinator-
-// journal record carrying every touched handle. The resolved state is
-// bit-identical to applying the same records one at a time through Insert,
-// Update and Delete.
+// ApplyBatch is the coordinator's one apply path: it applies a batch of
+// insert, update and delete records as one amortized operation — one
+// admission check, ONE fan-out to the shards (each shard journals the whole
+// batch as a single append through its own ApplyBatch — one fsync per shard
+// instead of N), and one coordinator-journal record carrying every touched
+// handle. Insert, Update, Delete and Apply are batches of one; the resolved
+// state is bit-identical to applying a batch's records one at a time.
 //
 // Validation mirrors the single-node batch path exactly (shared
 // incremental.PlanBatch core): records are checked up front against the
@@ -720,7 +571,7 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []incremental.Record) er
 	// ApplyBatch journals atomically — a crash leaves a shard with the
 	// whole batch or none of it, which is exactly the tear repairFanoutTear
 	// knows how to roll forward.
-	if _, err := r.fanout(func(sr *incremental.Resolver) error {
+	if err := r.fanout(func(sr *incremental.Resolver) error {
 		cp := make([]incremental.Record, len(recs))
 		copy(cp, recs)
 		if serr := sr.ApplyBatch(fanoutCtx, cp); serr != nil {
@@ -735,9 +586,7 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []incremental.Record) er
 	}); err != nil {
 		return err
 	}
-	// Fold the batch into the replica in record order — the same mutations
-	// the per-op path performs, minus the per-op fan-outs and journal
-	// records.
+	// Fold the batch into the replica in record order.
 	ids := make([]entity.ID, len(recs))
 	for i := range recs {
 		rec := &recs[i]
@@ -782,7 +631,7 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []incremental.Record) er
 	// Patch the coordinator's match graph to the shards' post-batch truth.
 	// Every touched handle's stale edges were removed above (updates and
 	// deletes drop the node); re-adding each inserted or updated handle's
-	// FINAL shard neighbors reproduces the per-op lockstep result: eager
+	// FINAL shard neighbors reproduces the one-at-a-time result: eager
 	// matching only moves edges incident to the operated handle, so edges
 	// between untouched handles were never stale, and a handle the batch
 	// later deleted simply has no final neighbors to re-add.

@@ -102,26 +102,6 @@ func (c *ShardClient) LastHello() Hello {
 	return c.lastHello
 }
 
-// ApplyOp delivers one routed operation, retrying over fresh connections on
-// transport failure, and returns the shard's acknowledgement.
-func (c *ShardClient) ApplyOp(ctx context.Context, op incremental.RoutedOp) (Ack, error) {
-	rtyp, reply, err := c.roundTrip(ctx, frameOp, encodeOp(nil, op))
-	if err != nil {
-		return Ack{}, err
-	}
-	if rtyp != frameAck {
-		return Ack{}, fmt.Errorf("transport: op answered with frame type %d", rtyp)
-	}
-	ack, err := decodeAck(reply)
-	if err != nil {
-		return Ack{}, err
-	}
-	if ack.Seq != op.Seq {
-		return Ack{}, fmt.Errorf("transport: ack for seq %d answers op %d", ack.Seq, op.Seq)
-	}
-	return ack, nil
-}
-
 // ApplyBatch delivers a whole batch of routed operations in one round trip
 // and returns the shard's cumulative acknowledgement. Retry over a fresh
 // connection re-delivers the whole frame; the shard re-acks its already-

@@ -22,7 +22,8 @@ import (
 // never answer) are retried over fresh connections within the attempt
 // budget and surface as transport errors past it; semantic refusals are
 // never retried; and a re-delivered operation — applied once, ack lost —
-// is acknowledged idempotently, not applied twice.
+// is acknowledged idempotently, not applied twice. Every request is a
+// batch frame; these use batches of one.
 
 func testShardCfg() sharded.Config {
 	return sharded.Config{
@@ -94,7 +95,7 @@ func TestClientRetriesTransportFailures(t *testing.T) {
 		Timeout: 2 * time.Second, Attempts: 3, Dial: dial,
 	})
 	defer c.Close()
-	if _, err := c.ApplyOp(context.Background(), testOp(1, 0)); err != nil {
+	if _, err := c.ApplyBatch(context.Background(), []incremental.RoutedOp{testOp(1, 0)}); err != nil {
 		t.Fatalf("op failed despite retry budget: %v", err)
 	}
 	if n := dials.Load(); n != 2 {
@@ -123,14 +124,14 @@ func TestClientIdempotentRedelivery(t *testing.T) {
 	})
 	defer c.Close()
 	ctx := context.Background()
-	if _, err := c.ApplyOp(ctx, testOp(1, 0)); err != nil {
+	if _, err := c.ApplyBatch(ctx, []incremental.RoutedOp{testOp(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	// The next round-trip's reply read fails AFTER the request was written:
 	// the server applies op 2 and acks into a dead connection, and the
 	// retry re-delivers seq 2 over a fresh handshake.
 	fail.Store(1)
-	if _, err := c.ApplyOp(ctx, testOp(2, 1)); err != nil {
+	if _, err := c.ApplyBatch(ctx, []incremental.RoutedOp{testOp(2, 1)}); err != nil {
 		t.Fatalf("redelivery failed: %v", err)
 	}
 	st := srv.Resolver().Counters()
@@ -165,7 +166,7 @@ func TestClientTimesOut(t *testing.T) {
 	})
 	defer c.Close()
 	start := time.Now()
-	_, err = c.ApplyOp(context.Background(), testOp(1, 0))
+	_, err = c.ApplyBatch(context.Background(), []incremental.RoutedOp{testOp(1, 0)})
 	if err == nil {
 		t.Fatal("op succeeded against a mute server")
 	}
@@ -194,7 +195,7 @@ func TestClientDoesNotRetryRefusals(t *testing.T) {
 	})
 	defer c.Close()
 	var rerr *transport.RemoteError
-	if _, err := c.ApplyOp(context.Background(), testOp(1, 0)); !errors.As(err, &rerr) {
+	if _, err := c.ApplyBatch(context.Background(), []incremental.RoutedOp{testOp(1, 0)}); !errors.As(err, &rerr) {
 		t.Fatalf("got %v, want RemoteError", err)
 	}
 	if n := dials.Load(); n != 1 {
@@ -207,7 +208,7 @@ func TestClientDoesNotRetryRefusals(t *testing.T) {
 		Timeout: 2 * time.Second, Attempts: 3, Dial: dial,
 	})
 	defer c2.Close()
-	if _, err := c2.ApplyOp(context.Background(), testOp(5, 4)); !errors.As(err, &rerr) {
+	if _, err := c2.ApplyBatch(context.Background(), []incremental.RoutedOp{testOp(5, 4)}); !errors.As(err, &rerr) {
 		t.Fatalf("sequence gap: got %v, want RemoteError", err)
 	}
 	if n := dials.Load(); n != 1 {

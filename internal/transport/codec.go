@@ -1,8 +1,9 @@
-// The hot-path binary codec: routed operations and their acknowledgements
-// travel as hand-rolled uvarint records — no reflection, no per-field
-// interface dispatch, one allocation per decode. Every decode is fully
-// bounds-checked and returns an error rather than panicking; FuzzOpCodec
-// drives arbitrary bytes through it.
+// The binary codec of the routed op stream: batch frames of routed
+// operations and their cumulative acknowledgements travel as hand-rolled
+// uvarint records — no reflection, no per-field interface dispatch. Every
+// decode is fully bounds-checked and returns an error rather than
+// panicking; FuzzOpCodec, FuzzBatchCodec and FuzzBatchAckCodec drive
+// arbitrary bytes through it.
 package transport
 
 import (
@@ -16,16 +17,6 @@ import (
 
 // opFlagAdvance marks a slot-advance record in the encoded flags byte.
 const opFlagAdvance = 1
-
-// Ack is a shard's acknowledgement of one routed operation: the sequence
-// number it is current through, its cumulative matcher-invocation counter,
-// and the operated-on description's current match neighbors — the per-op
-// edge feed the coordinator folds into the global match graph.
-type Ack struct {
-	Seq         uint64
-	Comparisons int64
-	Neighbors   []entity.ID
-}
 
 // encodeOp appends op's wire form to buf.
 func encodeOp(buf []byte, op incremental.RoutedOp) []byte {
@@ -58,9 +49,9 @@ func decodeOp(data []byte) (incremental.RoutedOp, error) {
 	return op, nil
 }
 
-// op reads one routed operation from the cursor — the shared body of the
-// single-op and batch decoders. Kind and flag validation fails the cursor
-// like any truncation.
+// op reads one routed operation from the cursor — the body of the batch
+// decoder, and of decodeOp for a lone record. Kind and flag validation
+// fails the cursor like any truncation.
 func (d *decoder) op() incremental.RoutedOp {
 	var op incremental.RoutedOp
 	op.Seq = d.uvarint()
@@ -145,7 +136,7 @@ func decodeBatch(data []byte) ([]incremental.RoutedOp, error) {
 // matcher-invocation counter after the batch, and — per operation, in
 // stream order — the operated-on description's match neighbors AS OF that
 // operation. The at-time capture is what lets the coordinator fold the
-// batch exactly like N lockstep per-op acknowledgements.
+// batch exactly as if its operations had been acknowledged one at a time.
 type BatchAck struct {
 	Seq         uint64
 	Comparisons int64
@@ -200,44 +191,6 @@ func decodeBatchAck(data []byte) (BatchAck, error) {
 	d.finish()
 	if d.err != nil {
 		return BatchAck{}, d.err
-	}
-	return ack, nil
-}
-
-// encodeAck appends ack's wire form to buf.
-func encodeAck(buf []byte, ack Ack) []byte {
-	buf = binary.AppendUvarint(buf, ack.Seq)
-	buf = binary.AppendUvarint(buf, uint64(ack.Comparisons))
-	buf = binary.AppendUvarint(buf, uint64(len(ack.Neighbors)))
-	for _, id := range ack.Neighbors {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	return buf
-}
-
-// decodeAck parses one acknowledgement.
-func decodeAck(data []byte) (Ack, error) {
-	var ack Ack
-	d := decoder{buf: data}
-	ack.Seq = d.uvarint()
-	comp := d.uvarint()
-	if d.err == nil && comp > math.MaxInt64 {
-		d.fail("comparison counter %d overflows", comp)
-	}
-	ack.Comparisons = int64(comp)
-	n := d.length()
-	if d.err == nil && n > len(d.buf)-d.off {
-		d.fail("neighbor count %d exceeds remaining payload", n)
-	}
-	if d.err == nil && n > 0 {
-		ack.Neighbors = make([]entity.ID, 0, n)
-		for i := 0; i < n; i++ {
-			ack.Neighbors = append(ack.Neighbors, entity.ID(d.length()))
-		}
-	}
-	d.finish()
-	if d.err != nil {
-		return Ack{}, d.err
 	}
 	return ack, nil
 }

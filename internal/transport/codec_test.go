@@ -35,22 +35,6 @@ func TestOpCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAckCodecRoundTrip(t *testing.T) {
-	for _, ack := range []Ack{
-		{},
-		{Seq: 7, Comparisons: 123},
-		{Seq: 1 << 50, Comparisons: 1<<62 - 1, Neighbors: []entity.ID{0, 3, 1 << 20}},
-	} {
-		got, err := decodeAck(encodeAck(nil, ack))
-		if err != nil {
-			t.Fatalf("decode(encode(%+v)): %v", ack, err)
-		}
-		if !reflect.DeepEqual(got, ack) {
-			t.Fatalf("round trip changed the ack:\nsent %+v\ngot  %+v", ack, got)
-		}
-	}
-}
-
 func TestOpCodecRejects(t *testing.T) {
 	valid := encodeOp(nil, sampleOps()[0])
 	cases := map[string][]byte{
@@ -80,14 +64,14 @@ func TestOpCodecRejects(t *testing.T) {
 
 func TestFrameBounds(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameOp, make([]byte, maxFramePayload+1)); err == nil {
+	if err := writeFrame(&buf, frameBatch, make([]byte, maxFramePayload+1)); err == nil {
 		t.Fatal("oversized frame written")
 	}
-	if err := writeFrame(&buf, frameOp, []byte("ok")); err != nil {
+	if err := writeFrame(&buf, frameBatch, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
-	if err != nil || typ != frameOp || string(payload) != "ok" {
+	if err != nil || typ != frameBatch || string(payload) != "ok" {
 		t.Fatalf("round trip: typ=%d payload=%q err=%v", typ, payload, err)
 	}
 }
@@ -105,15 +89,15 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(frame(frameHello, []byte(`{"shards":2}`)))
-	f.Add(frame(frameOp, encodeOp(nil, incremental.RoutedOp{Seq: 1, Kind: incremental.OpInsert})))
+	f.Add(frame(frameBatchAck, encodeBatchAck(nil, BatchAck{Seq: 1, Neighbors: [][]entity.ID{{2}}})))
 	f.Add(frame(frameBatch, encodeBatch(nil, sampleOps()[:2])))
 	f.Add(frame(frameErr, []byte("refused")))
 	// Torn header, torn payload, unknown type, hostile length.
-	f.Add([]byte{byte(frameOp), 0, 0})
-	f.Add([]byte{byte(frameOp), 0, 0, 0, 9, 'x', 'y'})
+	f.Add([]byte{byte(frameBatch), 0, 0})
+	f.Add([]byte{byte(frameBatch), 0, 0, 0, 9, 'x', 'y'})
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{99, 0, 0, 0, 1, 'x'})
-	f.Add([]byte{byte(frameAck), 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{byte(frameBatchAck), 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
@@ -157,23 +141,6 @@ func FuzzOpCodec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, op) {
 			t.Fatalf("op not re-decoded identically:\nfirst  %+v\nsecond %+v", op, again)
-		}
-	})
-}
-
-// FuzzAckCodec does the same for acknowledgements.
-func FuzzAckCodec(f *testing.F) {
-	f.Add(encodeAck(nil, Ack{Seq: 3, Comparisons: 9, Neighbors: []entity.ID{1, 2}}))
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ack, err := decodeAck(data)
-		if err != nil {
-			return
-		}
-		again, err := decodeAck(encodeAck(nil, ack))
-		if err != nil || !reflect.DeepEqual(again, ack) {
-			t.Fatalf("ack not re-decoded identically: %+v vs %+v (%v)", ack, again, err)
 		}
 	})
 }

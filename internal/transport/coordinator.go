@@ -185,46 +185,27 @@ func OpenCoordinator(ctx context.Context, dir string, cfg sharded.Config, addrs 
 	return r, nil
 }
 
-// routedFromRecord rebuilds the full-payload routed form of the replica's
-// last journaled mutation — the re-send a shard at seq-1 is owed. An
-// update record carries only the handle and attributes; identity comes
-// from the replica (the handle is necessarily live: it was the last
-// operation).
-func (r *Coordinator) routedFromRecord(rec incremental.Record) (incremental.RoutedOp, bool) {
-	op := incremental.RoutedOp{Seq: r.seq, Kind: rec.Kind, ID: rec.ID, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-	switch rec.Kind {
-	case incremental.OpInsert, incremental.OpDelete:
-		return op, true
-	case incremental.OpUpdate:
+// routedTail rebuilds the full-payload routed forms of the replica's last
+// journaled record — the re-send tail a shard inside the record's crash
+// window is owed. A batch's update sub-records carry their identity inline
+// (ApplyBatch enriches them at accept time), so the tail reconstructs even
+// when a later sub-record deleted the handle. A batch of one is journaled
+// bare, in the per-op shape whose update carries only handle and
+// attributes; its identity comes from the replica (the handle is
+// necessarily live: it was the last operation). Returns nil when no tail
+// can be rebuilt; rejoin then refuses gapped shards.
+func (r *Coordinator) routedTail(rec incremental.Record) []incremental.RoutedOp {
+	subs := rec.Ops()
+	if rec.Kind == incremental.OpUpdate {
 		d, ok := r.rep.Get(rec.ID)
 		if !ok {
-			return incremental.RoutedOp{}, false
+			return nil
 		}
-		op.URI, op.Source, op.Attrs = d.URI, d.Source, d.Attrs
-		return op, true
-	default:
-		return incremental.RoutedOp{}, false
+		subs = []incremental.Record{{Kind: rec.Kind, ID: rec.ID, URI: d.URI, Source: d.Source, Attrs: d.Attrs}}
 	}
-}
-
-// routedTail rebuilds the routed forms of the replica's last journaled
-// record — the re-send tail a shard inside the record's crash window is
-// owed. A single mutation yields one op via routedFromRecord; an OpBatch
-// record yields the whole batch verbatim: its update sub-records carry
-// their identity inline (ApplyBatch enriches them at accept time), so the
-// tail reconstructs even when a later sub-record deleted the handle.
-// Returns nil when no tail can be rebuilt; rejoin then refuses gapped
-// shards.
-func (r *Coordinator) routedTail(rec incremental.Record) []incremental.RoutedOp {
-	if rec.Kind != incremental.OpBatch {
-		if op, ok := r.routedFromRecord(rec); ok {
-			return []incremental.RoutedOp{op}
-		}
-		return nil
-	}
-	base := r.seq - uint64(len(rec.Batch))
-	ops := make([]incremental.RoutedOp, 0, len(rec.Batch))
-	for i, sub := range rec.Batch {
+	base := r.seq - uint64(len(subs))
+	ops := make([]incremental.RoutedOp, 0, len(subs))
+	for i, sub := range subs {
 		switch sub.Kind {
 		case incremental.OpInsert, incremental.OpUpdate, incremental.OpDelete:
 		default:
@@ -272,86 +253,41 @@ func (r *Coordinator) ready() error {
 
 // Insert accepts a new description: journaled and applied on the replica,
 // then routed — full payload to the shards owning one of its keys,
-// slot-advance to the rest.
+// slot-advance to the rest. A batch of one, like every mutation.
 func (r *Coordinator) Insert(ctx context.Context, d *entity.Description) (entity.ID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return -1, err
-	}
-	id, err := r.rep.Insert(ctx, d)
-	if err != nil {
-		return -1, err
-	}
-	applied, _ := r.rep.Get(id)
-	r.seq++
-	op := incremental.RoutedOp{Seq: r.seq, Kind: incremental.OpInsert, ID: id, URI: applied.URI, Source: applied.Source, Attrs: applied.Attrs}
-	r.lastOps = []incremental.RoutedOp{op}
-	return id, r.fanout(ctx, op, r.ownersOf(r.keysOf(applied)))
+	return incremental.InsertOne(ctx, r, d)
 }
 
-// Update re-keys and re-resolves a live description. The full payload
-// travels to the owners of the OLD keys (they must retire membership) and
-// of the NEW keys (they must index it, materializing the slot if they only
-// ever advanced past it).
+// Update re-keys and re-resolves a live description (a batch of one).
 func (r *Coordinator) Update(ctx context.Context, id entity.ID, attrs []entity.Attribute) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return err
-	}
-	old, ok := r.rep.Get(id)
-	if !ok {
-		return fmt.Errorf("transport: update of unknown description %d", id)
-	}
-	oldKeys := r.keysOf(old)
-	if err := r.rep.Update(ctx, id, attrs); err != nil {
-		return err
-	}
-	applied, _ := r.rep.Get(id)
-	r.seq++
-	op := incremental.RoutedOp{Seq: r.seq, Kind: incremental.OpUpdate, ID: id, URI: applied.URI, Source: applied.Source, Attrs: applied.Attrs}
-	r.lastOps = []incremental.RoutedOp{op}
-	if r.dyn != nil {
-		// The old matches die with the old keys; the acknowledgements
-		// below re-deliver the current ones.
-		r.dyn.RemoveNode(id)
-	}
-	return r.fanout(ctx, op, r.ownersOf(oldKeys, r.keysOf(applied)))
+	return incremental.UpdateOne(ctx, r, id, attrs)
 }
 
-// Delete removes a live description everywhere it is materialized.
+// Delete removes a live description everywhere it is materialized (a batch
+// of one).
 func (r *Coordinator) Delete(ctx context.Context, id entity.ID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ready(); err != nil {
-		return err
-	}
-	old, ok := r.rep.Get(id)
-	if !ok {
-		return fmt.Errorf("transport: delete of unknown description %d", id)
-	}
-	oldKeys := r.keysOf(old)
-	if err := r.rep.Delete(id); err != nil {
-		return err
-	}
-	r.seq++
-	op := incremental.RoutedOp{Seq: r.seq, Kind: incremental.OpDelete, ID: id}
-	r.lastOps = []incremental.RoutedOp{op}
-	if r.dyn != nil {
-		r.dyn.RemoveNode(id)
-	}
-	return r.fanout(ctx, op, r.ownersOf(oldKeys))
+	return incremental.DeleteOne(ctx, r, id)
 }
 
-// ApplyBatch accepts a whole batch of insert, update and delete records as
-// one sequential unit: validated up front, journaled and applied on the
-// replica as ONE journal append, then delivered as ONE pipelined frame per
-// shard — the amortized ingestion path. Per-operation routing is
+// Apply executes one URI-addressed operation — the same op-script form the
+// single-node and in-process sharded resolvers accept, so the differential
+// suites replay identical scripts through all three deployments.
+func (r *Coordinator) Apply(ctx context.Context, op incremental.Op) error {
+	return incremental.ApplyOne(ctx, r, op)
+}
+
+// ApplyBatch is the coordinator's one apply path: it accepts a batch of
+// insert, update and delete records as one sequential unit — validated up
+// front, journaled and applied on the replica as ONE journal append, then
+// delivered as ONE pipelined frame per shard. Per-operation routing is
 // preserved inside the frame: each operation travels in full only to the
-// shards owning one of its blocking keys and as a slot-advance record
-// elsewhere, so the differential contract holds bit for bit against the
-// lockstep per-op stream.
+// shards owning one of its blocking keys (for an update, also to the owners
+// of its OLD keys, which must retire membership) and as a slot-advance
+// record elsewhere, so the differential contract holds bit for bit against
+// applying the records one at a time. The context gates admission only:
+// once admitted, the batch is journaled, applied and delivered under a
+// context that no longer cancels, so a caller giving up mid-fan-out cannot
+// mark a healthy shard down.
 func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -364,6 +300,7 @@ func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	ctx = context.WithoutCancel(ctx)
 	err := incremental.PlanBatch(r.cfg.Kind, entity.ID(r.rep.Slots()),
 		r.rep.Lookup,
 		func(id entity.ID) bool { _, ok := r.rep.Get(id); return ok },
@@ -437,8 +374,10 @@ func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record)
 // fanoutBatch delivers an accepted batch to every shard as one frame each —
 // full payload where the shard owns one of the operation's keys,
 // slot-advance elsewhere — and folds the cumulative acknowledgements in
-// operation order, reproducing exactly what N lockstep per-op fan-outs
-// would have built. Callers hold r.mu.
+// operation order, reproducing exactly what applying the operations one at
+// a time would have built. Unreachable shards are marked down; a semantic
+// refusal breaks the coordinator (the states have diverged and nothing
+// local can mend that). Callers hold r.mu.
 func (r *Coordinator) fanoutBatch(ctx context.Context, ops []incremental.RoutedOp, owners [][]bool) error {
 	r.perf.FanOuts++
 	r.perf.TransportRoundTrips += int64(r.shards)
@@ -516,67 +455,6 @@ func (r *Coordinator) fanoutBatch(ctx context.Context, ops []incremental.RoutedO
 		return &ShardUnavailableError{Shards: downed}
 	}
 	return nil
-}
-
-// fanout delivers operation op to every shard in parallel — full payload
-// where owners[i], slot-advance elsewhere — and folds the
-// acknowledgements. Unreachable shards are marked down; a semantic refusal
-// breaks the coordinator (the states have diverged and nothing local can
-// mend that). Callers hold r.mu.
-func (r *Coordinator) fanout(ctx context.Context, op incremental.RoutedOp, owners []bool) error {
-	r.perf.FanOuts++
-	r.perf.TransportRoundTrips += int64(r.shards)
-	type result struct {
-		ack Ack
-		err error
-	}
-	results := make([]result, r.shards)
-	var wg sync.WaitGroup
-	for i := 0; i < r.shards; i++ {
-		send := op
-		if owners[i] {
-			r.fullSent++
-		} else {
-			send = incremental.RoutedOp{Seq: op.Seq, Kind: op.Kind, Advance: true, ID: op.ID}
-			r.advSent++
-		}
-		wg.Add(1)
-		go func(i int, send incremental.RoutedOp) {
-			defer wg.Done()
-			ack, err := r.clients[i].ApplyOp(ctx, send)
-			results[i] = result{ack: ack, err: err}
-		}(i, send)
-	}
-	wg.Wait()
-	var downed []int
-	for i, res := range results {
-		if res.err != nil {
-			var rerr *RemoteError
-			if errors.As(res.err, &rerr) {
-				r.broken = fmt.Errorf("transport: shard %d refused operation %d — the deployment has diverged: %w", i, op.Seq, res.err)
-				return r.broken
-			}
-			r.down[i] = true
-			downed = append(downed, i)
-			continue
-		}
-		r.foldAck(op, res.ack, i)
-	}
-	if downed != nil {
-		return &ShardUnavailableError{Shards: downed}
-	}
-	return nil
-}
-
-// foldAck records one shard's acknowledgement of op. Callers hold r.mu.
-func (r *Coordinator) foldAck(op incremental.RoutedOp, ack Ack, i int) {
-	r.ackedSeq[i] = op.Seq
-	r.shardComp[i] = ack.Comparisons
-	if r.dyn != nil {
-		for _, nb := range ack.Neighbors {
-			r.dyn.AddEdge(op.ID, nb, 1)
-		}
-	}
 }
 
 // RejoinShard reconnects a down shard and closes whatever gap its absence
@@ -890,30 +768,4 @@ func (r *Coordinator) Abandon() {
 	}
 	r.broken = fmt.Errorf("transport: coordinator is abandoned")
 	r.rep.Abandon()
-}
-
-// Apply executes one URI-addressed operation — the same op-script form the
-// single-node and in-process sharded resolvers accept, so the differential
-// suites replay identical scripts through all three deployments.
-func (r *Coordinator) Apply(ctx context.Context, op incremental.Op) error {
-	switch op.Kind {
-	case incremental.OpInsert:
-		d := &entity.Description{ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-		_, err := r.Insert(ctx, d)
-		return err
-	case incremental.OpUpdate:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("transport: update of unknown URI %q", op.URI)
-		}
-		return r.Update(ctx, id, op.Attrs)
-	case incremental.OpDelete:
-		id, ok := r.Lookup(op.URI)
-		if !ok {
-			return fmt.Errorf("transport: delete of unknown URI %q", op.URI)
-		}
-		return r.Delete(ctx, id)
-	default:
-		return fmt.Errorf("transport: unknown op kind %d", op.Kind)
-	}
 }

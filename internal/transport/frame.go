@@ -15,11 +15,11 @@
 // for the operation anyway — see internal/incremental/routed.go.
 //
 // The frame layer below everything is deliberately dumb: one byte of
-// message type, four bytes of big-endian payload length, payload. The
-// per-operation hot path (frameOp, frameAck) is encoded with the
-// hand-rolled binary codec in codec.go — no reflection, no interface
-// dispatch per field; the control plane (hello, bootstrap, state) rides
-// JSON, where clarity beats nanoseconds.
+// message type, four bytes of big-endian payload length, payload. Every
+// mutation reaches a shard as a batch frame (a single operation is a batch
+// of one), encoded with the hand-rolled binary codec in codec.go; the
+// control plane (hello, bootstrap, state) rides JSON, where clarity beats
+// nanoseconds.
 package transport
 
 import (
@@ -38,10 +38,11 @@ const (
 	// durable stream position.
 	frameHello byte = 1 + iota
 	frameHelloOK
-	// frameOp carries one routed operation (binary codec); frameAck its
-	// acknowledgement.
-	frameOp
-	frameAck
+	// 3 and 4 carried a single routed operation and its acknowledgement
+	// before every mutation became a batch; they stay reserved so the
+	// remaining type numbers keep their values.
+	_
+	_
 	// frameErr carries a UTF-8 error message answering any request. It
 	// signals a SEMANTIC refusal — the request was delivered and rejected —
 	// never a transport failure.

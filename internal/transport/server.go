@@ -153,8 +153,6 @@ func (s *ShardServer) handle(conn net.Conn) {
 		switch typ {
 		case frameHello:
 			rtyp, reply, err = s.hello(payload)
-		case frameOp:
-			rtyp, reply, err = s.applyOp(payload)
 		case frameBatch:
 			rtyp, reply, err = s.applyBatch(payload)
 		case frameBootstrap:
@@ -199,33 +197,13 @@ func (s *ShardServer) hello(payload []byte) (byte, []byte, error) {
 	return frameHelloOK, marshalJSON(reply), nil
 }
 
-// applyOp applies one routed operation and acknowledges with the shard's
-// cumulative comparison counter and the operation target's current match
-// neighbors. Re-delivery of an acknowledged sequence number re-acks
-// without re-applying (the resolver enforces idempotency below the wire).
-func (s *ShardServer) applyOp(payload []byte) (byte, []byte, error) {
-	op, err := decodeOp(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := s.res.ApplyRouted(context.Background(), op); err != nil {
-		return 0, nil, err
-	}
-	ack := Ack{Seq: op.Seq, Comparisons: s.res.Counters().Comparisons}
-	// Meta deployments defer all matching to the coordinator's reconcile;
-	// the shard match graph is empty by design and must never be asked to
-	// reconcile locally.
-	if s.cfg.Meta == nil {
-		ack.Neighbors = s.res.MatchNeighbors(op.ID)
-	}
-	return frameAck, encodeAck(nil, ack), nil
-}
-
 // applyBatch applies a pipelined batch of routed operations in stream order
 // and acknowledges the whole frame once: the final sequence number, the
 // cumulative comparison counter, and — per operation — the target's match
 // neighbors AS OF that operation, so the coordinator can fold the batch
-// exactly as it would N lockstep acknowledgements. The shard journals each
+// exactly as if each operation had been acknowledged alone. Every mutation
+// arrives this way (a single operation is a batch of one). The shard
+// journals each
 // operation individually (ApplyRouted), so a re-delivered frame re-acks its
 // already-applied prefix idempotently and resumes mid-batch; only round
 // trips collapse, not the shard's durability granularity.
