@@ -319,7 +319,6 @@ type benchPerfJSON struct {
 	ReconcileExamined   int64 `json:"reconcile_examined"`
 	ReconcileEvaluated  int64 `json:"reconcile_evaluated"`
 	FullSnapshots       int64 `json:"full_snapshots"`
-	DeltaSnapshots      int64 `json:"delta_snapshots"`
 	SnapshotSlots       int64 `json:"snapshot_slots"`
 	SnapshotPairs       int64 `json:"snapshot_pairs"`
 	JournalAppends      int64 `json:"journal_appends"`
@@ -333,7 +332,6 @@ func perfJSON(p er.StreamingPerf) benchPerfJSON {
 		ReconcileExamined:   p.ReconcileExamined,
 		ReconcileEvaluated:  p.ReconcileEvaluated,
 		FullSnapshots:       p.FullSnapshots,
-		DeltaSnapshots:      p.DeltaSnapshots,
 		SnapshotSlots:       p.SnapshotSlots,
 		SnapshotPairs:       p.SnapshotPairs,
 		JournalAppends:      p.JournalAppends,
@@ -719,7 +717,7 @@ func runStreamingMeta(entities int, seed int64, workers int, weightNm, pruneNm s
 
 // benchShardRecoveryPortableJSON is the sharded durable leg's portable
 // half: per-shard group-committed WAL persistence plus a full reopen
-// (every shard restored from its own snapshot chain + tail).
+// (every shard restored from its own snapshot + tail).
 type benchShardRecoveryPortableJSON struct {
 	Ops                int64         `json:"ops"`
 	SnapshotEvery      int           `json:"snapshot_every"`

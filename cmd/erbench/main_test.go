@@ -51,7 +51,7 @@ func TestRunStreamingMeta(t *testing.T) {
 	if p.PrunedPerf.Reconciles <= 0 || p.PrunedPerf.ReconcileExamined <= 0 {
 		t.Fatalf("-json reconcile counters unmeasured: %+v", p.PrunedPerf)
 	}
-	if p.Recovery.Perf.FullSnapshots+p.Recovery.Perf.DeltaSnapshots <= 0 {
+	if p.Recovery.Perf.FullSnapshots <= 0 {
 		t.Fatalf("-json snapshot counters unmeasured: %+v", p.Recovery.Perf)
 	}
 	// The regression gate: an identical rerun matches its own baseline,
@@ -166,7 +166,7 @@ func TestRunStreamingShards(t *testing.T) {
 	if out.Timing.PersistWallNS <= 0 || out.Timing.RecoveryWallNS <= 0 {
 		t.Fatalf("recovery leg unmeasured: %+v", out.Timing)
 	}
-	if p.Recovery.Perf.FullSnapshots+p.Recovery.Perf.DeltaSnapshots <= 0 {
+	if p.Recovery.Perf.FullSnapshots <= 0 {
 		t.Fatalf("per-shard snapshot counters unmeasured: %+v", p.Recovery.Perf)
 	}
 	// The gate holds across the sharded mode too: rerun vs own baseline.

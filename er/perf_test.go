@@ -48,7 +48,7 @@ func TestPerfReporter(t *testing.T) {
 	// what it DOES report is the write-amortization evidence — per-shard
 	// journal appends (3 ops × 3 shards) and one fan-out per operation.
 	sharded := open(3).(er.PerfReporter).Perf()
-	if sharded.Reconciles != 0 || sharded.ReconcileExamined != 0 || sharded.FullSnapshots != 0 || sharded.DeltaSnapshots != 0 {
+	if sharded.Reconciles != 0 || sharded.ReconcileExamined != 0 || sharded.FullSnapshots != 0 {
 		t.Fatalf("in-memory sharded deployment reports shard-local reconcile/snapshot work: %+v", sharded)
 	}
 	if sharded.JournalAppends != 9 || sharded.FanOuts != 3 {

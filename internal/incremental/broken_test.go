@@ -25,11 +25,9 @@ func (p *poisonableJournal) Record(rec Record) error {
 	}
 	return p.inner.Record(rec)
 }
-func (p *poisonableJournal) Rollback() error { return p.inner.Rollback() }
-func (p *poisonableJournal) Checkpoint(snapshot []byte, keepFrom uint64) (uint64, error) {
-	return p.inner.Checkpoint(snapshot, keepFrom)
-}
-func (p *poisonableJournal) Close() error { return p.inner.Close() }
+func (p *poisonableJournal) Rollback() error                  { return p.inner.Rollback() }
+func (p *poisonableJournal) Checkpoint(snapshot []byte) error { return p.inner.Checkpoint(snapshot) }
+func (p *poisonableJournal) Close() error                     { return p.inner.Close() }
 
 // TestBrokenJournalPoisonsReadsAndRecovers: a reconcile that cannot be
 // journaled poisons the resolver — every reconciling read and every

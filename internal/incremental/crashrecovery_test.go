@@ -40,16 +40,12 @@ type crashConfig struct {
 	seed      int64
 	ops       int
 	snapEvery int
-	rebase    int // DurableOptions.RebaseEvery (0 default chain, <0 full-only)
 	mix       opMix
 	sync      bool // fsync per append (slow; one scenario keeps it on)
 }
 
 func (cc crashConfig) String() string {
 	s := fmt.Sprintf("%s/%s/w%d/%s/seed%d/snap%d", cc.kind, cc.blocker.Name(), cc.workers, cc.mix.name, cc.seed, cc.snapEvery)
-	if cc.rebase != 0 {
-		s += fmt.Sprintf("/rebase%d", cc.rebase)
-	}
 	if cc.meta != nil {
 		s += "/" + cc.meta.Name()
 	}
@@ -172,7 +168,6 @@ func runCrashRecovery(t *testing.T, cc crashConfig) {
 		Workers: cc.workers, Meta: cc.meta,
 		Durable: incremental.DurableOptions{
 			SnapshotEvery: cc.snapEvery,
-			RebaseEvery:   cc.rebase,
 			SegmentBytes:  4096, // small segments so scenarios exercise rotation
 			NoSync:        !cc.sync,
 		},
@@ -257,6 +252,16 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			meta: &metablocking.MetaBlocker{Weight: metablocking.ECBS, Prune: metablocking.WNP}},
 		{kind: entity.Dirty, blocker: &blocking.TokenBlocking{}, workers: 2,
 			seed: 35, ops: 60, snapEvery: 10, mix: opMixes[1], sync: true},
+		{kind: entity.Dirty, blocker: &blocking.TokenBlocking{}, workers: 4,
+			seed: 41, ops: 160, snapEvery: 10, mix: opMixes[1]},
+		{kind: entity.Dirty, blocker: &blocking.TokenBlocking{}, workers: 4,
+			seed: 42, ops: 160, snapEvery: 10, mix: opMixes[2],
+			meta: &metablocking.MetaBlocker{Weight: metablocking.JS, Prune: metablocking.WEP}},
+		{kind: entity.CleanClean, blocker: &blocking.TokenBlocking{}, workers: 2,
+			seed: 43, ops: 140, snapEvery: 8, mix: opMixes[1]},
+		{kind: entity.Dirty, blocker: &blocking.TokenBlocking{}, workers: 4,
+			seed: 44, ops: 140, snapEvery: 12, mix: opMixes[1],
+			meta: &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WNP}},
 	}
 	for _, cc := range configs {
 		cc := cc

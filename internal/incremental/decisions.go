@@ -47,13 +47,9 @@ func (c *DecisionCache) Set(a, b entity.ID, sim bool) {
 
 // Invalidate drops every cached decision involving id — its content is
 // about to change or disappear. Cost is proportional to id's cached
-// degree. It returns the partners whose decisions were dropped (in
-// unspecified order), so a change tracker can record exactly the pairs
-// that left the cache.
-func (c *DecisionCache) Invalidate(id entity.ID) []entity.ID {
-	partners := make([]entity.ID, 0, len(c.m[id]))
+// degree.
+func (c *DecisionCache) Invalidate(id entity.ID) {
 	for other := range c.m[id] {
-		partners = append(partners, other)
 		m := c.m[other]
 		delete(m, id)
 		if len(m) == 0 {
@@ -61,11 +57,10 @@ func (c *DecisionCache) Invalidate(id entity.ID) []entity.ID {
 		}
 	}
 	delete(c.m, id)
-	return partners
 }
 
 // Delete drops the single cached decision for {a, b}, if present — the
-// delta-snapshot restore path's removal primitive.
+// removal primitive of the legacy delta-snapshot decoder.
 func (c *DecisionCache) Delete(a, b entity.ID) {
 	for _, d := range [2][2]entity.ID{{a, b}, {b, a}} {
 		m := c.m[d[0]]

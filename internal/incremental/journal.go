@@ -72,14 +72,10 @@ type Journal interface {
 	// failed (a cancelled reconcile), so the journal holds exactly the
 	// acknowledged work.
 	Rollback() error
-	// Checkpoint durably persists an encoded snapshot (full, or a delta
-	// chain link) and truncates the journal so recovery replays only
-	// records appended after this call. It returns the sequence number the
-	// snapshot file is named after — the parent a subsequent delta names.
-	// keepFrom is the oldest snapshot still needed (the chain's full
-	// anchor); 0 means the new snapshot is self-contained and supersedes
-	// everything before itself.
-	Checkpoint(snapshot []byte, keepFrom uint64) (uint64, error)
+	// Checkpoint durably persists an encoded full snapshot and truncates
+	// the journal so recovery replays only records appended after this
+	// call. The snapshot supersedes every earlier one.
+	Checkpoint(snapshot []byte) error
 	// Close releases the journal. Already-journaled records stay durable.
 	Close() error
 }
@@ -88,10 +84,10 @@ type Journal interface {
 // nothing is replayed — the pre-durability behavior, at zero cost.
 type nopJournal struct{}
 
-func (nopJournal) Record(Record) error                       { return nil }
-func (nopJournal) Rollback() error                           { return nil }
-func (nopJournal) Checkpoint([]byte, uint64) (uint64, error) { return 0, nil }
-func (nopJournal) Close() error                              { return nil }
+func (nopJournal) Record(Record) error     { return nil }
+func (nopJournal) Rollback() error         { return nil }
+func (nopJournal) Checkpoint([]byte) error { return nil }
+func (nopJournal) Close() error            { return nil }
 
 // DurableOptions tunes the WAL-backed journal behind OpenResolver. New
 // ignores it.
@@ -109,12 +105,6 @@ type DurableOptions struct {
 	// acknowledged since the last sync. For tests, benchmarks and workloads
 	// that can afford to replay.
 	NoSync bool
-	// RebaseEvery bounds the delta-snapshot chain: after this many delta
-	// links a checkpoint rebases — writes a full snapshot — so recovery's
-	// chain walk and the disk the retained links occupy stay bounded
-	// (default DefaultRebaseEvery; negative disables delta snapshots
-	// entirely, making every checkpoint full).
-	RebaseEvery int
 	// GroupCommit batches the fsyncs of concurrent journal appenders into
 	// group syncs (wal.Options.GroupCommit): every operation is still
 	// durable before it is acknowledged, but one fsync can cover many.
@@ -262,30 +252,23 @@ func (j *walJournal) Rollback() error {
 	return nil
 }
 
-func (j *walJournal) Checkpoint(snapshot []byte, keepFrom uint64) (uint64, error) {
+func (j *walJournal) Checkpoint(snapshot []byte) error {
 	seq, err := j.log.Rotate()
 	if err != nil {
-		return 0, fmt.Errorf("incremental: checkpoint rotate: %w", err)
+		return fmt.Errorf("incremental: checkpoint rotate: %w", err)
 	}
 	j.haveLast = false
 	if err := wal.WriteFileAtomic(filepath.Join(j.dir, snapshotFile(seq)), snapshot); err != nil {
-		return 0, fmt.Errorf("incremental: writing snapshot: %w", err)
+		return fmt.Errorf("incremental: writing snapshot: %w", err)
 	}
-	// The snapshot is durable: every record before it is dead weight (a
-	// delta link's history lives in the retained chain snapshots, not in
-	// segments). A crash between these steps only leaves garbage that the
-	// next checkpoint removes; recovery always anchors on the newest
-	// snapshot and walks its chain, every link of which is kept below.
+	// The snapshot is durable: every record and snapshot before it is dead
+	// weight (including any delta chain an older release left behind). A
+	// crash between these steps only leaves garbage that the next
+	// checkpoint removes; recovery always anchors on the newest snapshot.
 	if err := j.log.RemoveSegmentsBefore(seq); err != nil {
-		return 0, fmt.Errorf("incremental: pruning segments: %w", err)
+		return fmt.Errorf("incremental: pruning segments: %w", err)
 	}
-	if keepFrom == 0 || keepFrom > seq {
-		keepFrom = seq
-	}
-	if err := removeSnapshotsBefore(j.dir, keepFrom); err != nil {
-		return 0, err
-	}
-	return seq, nil
+	return removeSnapshotsBefore(j.dir, seq)
 }
 
 func (j *walJournal) Close() error { return j.log.Close() }
@@ -370,15 +353,14 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 	}
 	var from uint64
 	if len(snaps) > 0 {
-		// Restore the newest snapshot's chain: its full anchor, then every
-		// delta link in order, with the membership observer detached until
-		// the chain has applied.
+		// Restore the newest snapshot — and, in a directory an older
+		// release wrote, the delta links chained onto its full anchor.
 		tip := snaps[len(snaps)-1]
-		full, fullSeq, deltas, err := loadSnapshotChain(dir, tip)
+		full, deltas, err := loadSnapshotChain(dir, tip)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.restoreFull(full); err != nil {
+		if err := r.restoreSnapshot(full); err != nil {
 			return nil, err
 		}
 		for i := len(deltas) - 1; i >= 0; i-- {
@@ -386,19 +368,8 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 				return nil, err
 			}
 		}
-		r.finishRestore()
 		from = tip
 		r.recovery.SnapshotSegment = tip
-		r.snapParent = tip
-		r.chainAnchor = fullSeq
-		r.chainLen = len(deltas)
-	}
-	// The tracker rides every mutation from here on — the replayed tail is
-	// dirt relative to the restored chain tip, exactly what the next delta
-	// snapshot must carry.
-	r.snapTrack = newSnapTracker()
-	if r.weighted != nil {
-		r.snapTrack.wg = r.weighted.Track()
 	}
 	replayed, err := log.Replay(from, func(payload []byte) error {
 		rec, err := decodeRecord(payload)
@@ -523,67 +494,17 @@ func (r *Resolver) maybeCompact() error {
 	return r.compactLocked()
 }
 
-// rebaseEvery resolves the configured delta-chain bound (see
-// DurableOptions.RebaseEvery): 0 means delta snapshots are disabled.
-func (r *Resolver) rebaseEvery() int {
-	switch {
-	case r.cfg.Durable.RebaseEvery == 0:
-		return DefaultRebaseEvery
-	case r.cfg.Durable.RebaseEvery < 0:
-		return 0
-	default:
-		return r.cfg.Durable.RebaseEvery
-	}
-}
-
-// compactLocked checkpoints the resolver through the journal: a delta
-// chain link when a parent snapshot exists, the tracker's dirt covers the
-// divergence from it and the chain is still under its rebase bound; a full
-// snapshot otherwise. Callers hold r.mu.
+// compactLocked checkpoints the resolver through the journal: a full
+// snapshot of its state. Callers hold r.mu.
 func (r *Resolver) compactLocked() error {
-	useDelta := r.snapTrack != nil && !r.snapTrack.full &&
-		r.snapParent != 0 && r.chainLen < r.rebaseEvery()
-	var (
-		payload      []byte
-		slots, pairs int
-		keepFrom     uint64
-		err          error
-	)
-	if useDelta {
-		payload, slots, pairs, err = r.encodeDeltaSnapshot()
-		keepFrom = r.chainAnchor
-	} else {
-		payload, slots, pairs, err = r.encodeSnapshot()
-	}
+	payload, slots, pairs, err := r.encodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("incremental: encoding snapshot: %w", err)
 	}
-	seq, err := r.journal.Checkpoint(payload, keepFrom)
-	if err != nil {
-		// Encoding drained the tracker into the failed payload; its dirt no
-		// longer covers the divergence from the durable parent, so the next
-		// checkpoint must be full.
-		if r.snapTrack != nil {
-			r.snapTrack.full = true
-		}
+	if err := r.journal.Checkpoint(payload); err != nil {
 		return fmt.Errorf("incremental: compaction (the triggering operation is applied and durable): %w", err)
 	}
-	if seq != 0 {
-		r.snapParent = seq
-		if useDelta {
-			r.chainLen++
-		} else {
-			r.chainAnchor, r.chainLen = seq, 0
-		}
-	}
-	if r.snapTrack != nil {
-		r.snapTrack.full = false
-	}
-	if useDelta {
-		r.perf.DeltaSnapshots++
-	} else {
-		r.perf.FullSnapshots++
-	}
+	r.perf.FullSnapshots++
 	r.perf.SnapshotSlots += int64(slots)
 	r.perf.SnapshotPairs += int64(pairs)
 	r.sinceSnap = 0
@@ -674,7 +595,6 @@ func (r *Resolver) replayRecord(rec Record) error {
 // image of an insert that was journaled, cancelled mid-apply and retracted,
 // but had already consumed the slot.
 func (r *Resolver) burnSlot() {
-	r.markSlot(r.coll.Len())
 	r.coll.MustAdd(&entity.Description{ID: -1})
 	r.live = append(r.live, false)
 }

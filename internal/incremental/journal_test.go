@@ -173,11 +173,6 @@ func TestCompactionBoundsReplayAndPrunesFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig()
 	cfg.Durable.SnapshotEvery = 10
-	// Delta chaining retains the whole snapshot chain back to its full
-	// anchor; this test pins the single-file pruning contract of the
-	// chain-disabled configuration (chain retention is covered by the
-	// chained-snapshot tests).
-	cfg.Durable.RebaseEvery = -1
 	r, err := incremental.OpenResolver(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

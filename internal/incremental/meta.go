@@ -53,13 +53,15 @@ type PerfCounters struct {
 	// ReconcileEvaluated counts matcher invocations spent inside
 	// reconciles (cache-missing re-fated pairs).
 	ReconcileEvaluated int64
-	// FullSnapshots and DeltaSnapshots count checkpoint compactions by
-	// kind; SnapshotSlots and SnapshotPairs the cumulative collection
-	// slots and weighted-graph pairs they serialized — the compaction-cost
-	// measure (full snapshots serialize everything, deltas only the dirty
-	// entries).
-	FullSnapshots, DeltaSnapshots int64
-	SnapshotSlots, SnapshotPairs  int64
+	// FullSnapshots counts checkpoint compactions; SnapshotSlots and
+	// SnapshotPairs the cumulative collection slots and weighted-graph
+	// pairs they serialized — the compaction-cost measure.
+	FullSnapshots                int64
+	SnapshotSlots, SnapshotPairs int64
+	// DeltaSnapshots is always zero: every checkpoint writes a full
+	// snapshot. The field stays only because the benchmark ledger still
+	// reports it as wal.delta_snapshots.
+	DeltaSnapshots int64
 	// JournalAppends counts journal append operations (Journal.Record
 	// calls, the no-op journal's included — the counter is a pure function
 	// of the operation stream, not of durability). A batch of N operations
@@ -94,7 +96,6 @@ func (p *PerfCounters) Add(q PerfCounters) {
 	p.ReconcileExamined += q.ReconcileExamined
 	p.ReconcileEvaluated += q.ReconcileEvaluated
 	p.FullSnapshots += q.FullSnapshots
-	p.DeltaSnapshots += q.DeltaSnapshots
 	p.SnapshotSlots += q.SnapshotSlots
 	p.SnapshotPairs += q.SnapshotPairs
 	p.JournalAppends += q.JournalAppends
@@ -237,17 +238,6 @@ func (r *Resolver) applyRefates(ctx context.Context, refates []metablocking.Refa
 	n, _, err := evaluateFresh(ctx, r.coll, r.cfg.Matcher, r.cfg.Workers, r.simCache, fresh)
 	if err != nil {
 		return 0, err
-	}
-	// Snapshot dirt: the freshly cached decisions, and every re-fated
-	// pair's kept-baseline entry and (possibly flipped) match edge.
-	if r.snapTrack != nil {
-		for _, p := range fresh {
-			r.markCachePair(p)
-		}
-		for _, f := range refates {
-			r.markKeptPair(f.Pair)
-			r.markMatchEdge(f.Pair.A, f.Pair.B)
-		}
 	}
 	// Mirror ReconcileKept's patch order: retire the stale edges first,
 	// then add the surviving ones.

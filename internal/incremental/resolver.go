@@ -134,15 +134,6 @@ type Resolver struct {
 	// sinceSnap counts operations since the last checkpoint.
 	snapEvery int
 	sinceSnap int
-	// snapTrack accumulates the state dirtied since the last checkpoint —
-	// the contents of the next delta snapshot (deltasnap.go); nil for
-	// in-memory resolvers. snapParent is the newest durable snapshot's
-	// sequence (the next delta's parent; 0 before any), chainAnchor the
-	// chain's full snapshot and chainLen the delta links since it.
-	snapTrack   *snapTracker
-	snapParent  uint64
-	chainAnchor uint64
-	chainLen    int
 	// recovery describes what OpenResolver restored; lastRecord is the
 	// most recently applied operation in journal-record form (kept across
 	// snapshots, so a fan-out-tear donor never loses it to compaction —
@@ -280,7 +271,6 @@ func (r *Resolver) applyInsert(d *entity.Description) (entity.ID, error) {
 	if err != nil {
 		return -1, fmt.Errorf("incremental: %w", err)
 	}
-	r.markSlot(id)
 	r.live = append(r.live, true)
 	if cp.URI != "" {
 		r.byURI[cp.URI] = id
@@ -295,7 +285,6 @@ func (r *Resolver) applyInsert(d *entity.Description) (entity.ID, error) {
 // replay and the routed path. Callers hold r.mu and have checked liveness.
 func (r *Resolver) applyUpdate(id entity.ID, attrs []entity.Attribute) error {
 	d := r.coll.Get(id)
-	r.markSlot(id)
 	r.retire(id)
 	d.Attrs = append([]entity.Attribute(nil), attrs...)
 	r.stats.Updates++
@@ -307,7 +296,6 @@ func (r *Resolver) applyUpdate(id entity.ID, attrs []entity.Attribute) error {
 // replay and the routed path; it cannot fail. Callers hold r.mu and have
 // checked liveness.
 func (r *Resolver) applyDelete(id entity.ID) {
-	r.markSlot(id)
 	r.retire(id)
 	d := r.coll.Get(id)
 	if d.URI != "" {
@@ -573,22 +561,10 @@ func (r *Resolver) isLive(id entity.ID) bool {
 // update may re-key the same handle with different content. Callers hold
 // r.mu.
 func (r *Resolver) retire(id entity.ID) {
-	// Capture the edges RemoveNode is about to drop — they are match-graph
-	// presence changes the next delta snapshot must carry.
-	if r.snapTrack != nil {
-		for _, nb := range r.dyn.Graph().Neighbors(id) {
-			r.markMatchEdge(id, nb)
-		}
-	}
 	r.blocks.Remove(id)
 	r.dyn.RemoveNode(id)
 	if r.weighted != nil {
-		dropped := r.simCache.Invalidate(id)
-		if r.snapTrack != nil {
-			for _, other := range dropped {
-				r.markCachePair(entity.NewPair(id, other))
-			}
-		}
+		r.simCache.Invalidate(id)
 		r.metaDirty = true
 	}
 }
@@ -629,7 +605,6 @@ func (r *Resolver) index(id entity.ID) error {
 	r.stats.Comparisons += out.Comparisons
 	out.Matches.Each(func(p entity.Pair) bool {
 		r.dyn.AddEdge(p.A, p.B, 1)
-		r.markMatchEdge(p.A, p.B)
 		return true
 	})
 	return nil

@@ -218,7 +218,6 @@ func (r *Resolver) applyRouted(op RoutedOp) error {
 // the routed-update path of a shard that now owns one of the description's
 // keys but slot-advanced its insert. Callers hold r.mu.
 func (r *Resolver) materialize(op RoutedOp) error {
-	r.markSlot(op.ID)
 	d := r.coll.Get(op.ID)
 	d.URI, d.Source = op.URI, op.Source
 	d.Attrs = append([]entity.Attribute(nil), op.Attrs...)
@@ -362,11 +361,6 @@ func (r *Resolver) Bootstrap(bs BootstrapState) error {
 	}
 	if r.coll.Len() != 0 || r.lastSeq != 0 || r.stats.Inserts+r.stats.Updates+r.stats.Deletes != 0 {
 		return fmt.Errorf("incremental: bootstrap requires a pristine resolver (have %d slots, %d ops)", r.coll.Len(), r.stats.Inserts+r.stats.Updates+r.stats.Deletes)
-	}
-	// A bootstrap is a wholesale state load the mark helpers do not shadow;
-	// the checkpoint below (and any before the next one) must be full.
-	if r.snapTrack != nil {
-		r.snapTrack.full = true
 	}
 	for i, sl := range bs.Slots {
 		d := &entity.Description{ID: -1}

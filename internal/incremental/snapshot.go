@@ -123,11 +123,9 @@ func (r *Resolver) fingerprintMeta() string {
 	return r.cfg.Meta.Name()
 }
 
-// encodeSnapshot serializes the resolver's full state and — like the delta
-// encoder — drains the snapshot tracker: the changes it accumulated are
-// subsumed by the full image. It returns the payload plus the serialized
-// slot and weighted-pair counts (the compaction-cost counters). Callers
-// hold r.mu.
+// encodeSnapshot serializes the resolver's full state. It returns the
+// payload plus the serialized slot and weighted-pair counts (the
+// compaction-cost counters). Callers hold r.mu.
 func (r *Resolver) encodeSnapshot() ([]byte, int, int, error) {
 	s := snapshotJSON{
 		Format:  snapshotFormat,
@@ -169,12 +167,6 @@ func (r *Resolver) encodeSnapshot() ([]byte, int, int, error) {
 		}
 		s.MetaDirty = r.metaDirty
 	}
-	if r.snapTrack != nil {
-		r.snapTrack.reset()
-		if r.snapTrack.wg != nil {
-			r.snapTrack.wg.Reset()
-		}
-	}
 	payload, err := json.Marshal(&s)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("incremental: %w", err)
@@ -204,31 +196,8 @@ func encodeSimCache(cache *DecisionCache) []simCacheJSON {
 }
 
 // restoreSnapshot loads a full snapshot into a freshly-constructed
-// resolver and attaches the membership observer. Callers need not hold
-// r.mu (the resolver is not yet published). OpenResolver restores a chain
-// through restoreFull + applyDeltaSnapshot + finishRestore instead, so the
-// delta links apply with the observer still detached.
+// resolver. Callers need not hold r.mu (the resolver is not yet published).
 func (r *Resolver) restoreSnapshot(payload []byte) error {
-	if err := r.restoreFull(payload); err != nil {
-		return err
-	}
-	r.finishRestore()
-	return nil
-}
-
-// finishRestore attaches the restored weighted graph to the block index's
-// membership feed — the last restore step, after every snapshot chain link
-// has applied (the links carry the statistics deltas explicitly; observing
-// during their membership rebuild would double-count).
-func (r *Resolver) finishRestore() {
-	if r.weighted != nil {
-		r.blocks.Observe(r.weighted)
-	}
-}
-
-// restoreFull loads a full snapshot WITHOUT attaching the membership
-// observer; see restoreSnapshot.
-func (r *Resolver) restoreFull(payload []byte) error {
 	var s snapshotJSON
 	if err := json.Unmarshal(payload, &s); err != nil {
 		return fmt.Errorf("incremental: decoding snapshot: %w", err)
@@ -319,6 +288,8 @@ func (r *Resolver) restoreFull(payload []byte) error {
 			r.lastKept = append(r.lastKept, graph.Edge{A: k.A, B: k.B, Weight: k.W})
 		}
 		r.metaDirty = s.MetaDirty
+		// The graph was loaded whole; it observes membership from here on.
+		r.blocks.Observe(wg)
 	}
 
 	if s.LastRecord != nil {

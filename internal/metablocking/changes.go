@@ -3,18 +3,11 @@
 // A tracker (ChangeSet) registered through Track receives every statistic
 // the graph touches from that moment on — pairs whose co-occurrence counts
 // moved, descriptions whose block-appearance counts moved, and whether the
-// comparison-suggesting block count changed. Two independent consumers ride
-// it today: the DeltaPruner (delta.go) drains one tracker per reconcile,
-// and the durable resolver's delta snapshots (internal/incremental) drain
-// another per checkpoint — their lifetimes differ, so each holds its own.
+// comparison-suggesting block count changed. The DeltaPruner (delta.go)
+// drains one tracker per reconcile.
 package metablocking
 
-import (
-	"fmt"
-	"sort"
-
-	"entityres/internal/entity"
-)
+import "entityres/internal/entity"
 
 // ChangeSet accumulates the statistics a WeightedGraph touched since the
 // set was created or last drained. The zero value is not usable; obtain one
@@ -46,13 +39,6 @@ func (c *ChangeSet) drain() (pairs map[entity.Pair]struct{}, nodes map[entity.ID
 	return pairs, nodes, blocks
 }
 
-// Reset discards the accumulated dirt without rendering it — the consumer
-// captured the whole graph some other way (a full snapshot) and the
-// tracked changes are subsumed.
-func (c *ChangeSet) Reset() {
-	c.drain()
-}
-
 // Track registers and returns a fresh change set: it sees nothing of the
 // graph's existing state (consumers that need a baseline build it
 // themselves) and every mutation from now on.
@@ -78,82 +64,4 @@ func (wg *WeightedGraph) markBlocks() {
 	for _, t := range wg.trackers {
 		t.blocks = true
 	}
-}
-
-// WeightedGraphDelta is the serializable statistics delta between two
-// points of a tracked graph's life: only the entries a ChangeSet saw
-// touched, with their CURRENT values (a zero count marks a removed entry).
-// The durable streaming resolver chains these into incremental snapshots.
-type WeightedGraphDelta struct {
-	// NumBlocks is the absolute comparison-suggesting block count at delta
-	// time (one integer — not worth differencing).
-	NumBlocks int `json:"num_blocks"`
-	// BlocksPer lists the touched descriptions' current block-appearance
-	// counts, ID ascending; Count 0 removes the entry.
-	BlocksPer []DocBlockCount `json:"blocks_per,omitempty"`
-	// Pairs lists the touched pairs' current statistics, (A, B) ascending;
-	// CBS 0 removes the pair.
-	Pairs []PairStats `json:"pairs,omitempty"`
-}
-
-// DeltaSince drains the tracker and renders the touched statistics at
-// their current values, in the deterministic snapshot order.
-func (wg *WeightedGraph) DeltaSince(cs *ChangeSet) *WeightedGraphDelta {
-	pairs, nodes, _ := cs.drain()
-	d := &WeightedGraphDelta{NumBlocks: wg.numBlocks}
-	for id := range nodes {
-		d.BlocksPer = append(d.BlocksPer, DocBlockCount{ID: id, Count: wg.blocksPer[id]})
-	}
-	sort.Slice(d.BlocksPer, func(i, j int) bool { return d.BlocksPer[i].ID < d.BlocksPer[j].ID })
-	for p := range pairs {
-		ps := PairStats{A: p.A, B: p.B}
-		if st, ok := wg.pairs[p]; ok {
-			ps.CBS, ps.ARCS = st.cbs, st.arcs
-		}
-		d.Pairs = append(d.Pairs, ps)
-	}
-	sort.Slice(d.Pairs, func(i, j int) bool {
-		if d.Pairs[i].A != d.Pairs[j].A {
-			return d.Pairs[i].A < d.Pairs[j].A
-		}
-		return d.Pairs[i].B < d.Pairs[j].B
-	})
-	return d
-}
-
-// ApplyDelta overwrites the delta's entries onto the graph, advancing a
-// restored baseline by one chain link. Registered trackers observe the
-// writes like any mutation.
-func (wg *WeightedGraph) ApplyDelta(d *WeightedGraphDelta) error {
-	if d == nil {
-		return fmt.Errorf("metablocking: nil weighted-graph delta")
-	}
-	if d.NumBlocks < 0 {
-		return fmt.Errorf("metablocking: delta has negative block count %d", d.NumBlocks)
-	}
-	if wg.numBlocks != d.NumBlocks {
-		wg.numBlocks = d.NumBlocks
-		wg.markBlocks()
-	}
-	for _, bc := range d.BlocksPer {
-		if bc.Count <= 0 {
-			delete(wg.blocksPer, bc.ID)
-		} else {
-			wg.blocksPer[bc.ID] = bc.Count
-		}
-		wg.markNode(bc.ID)
-	}
-	for _, ps := range d.Pairs {
-		if ps.A >= ps.B {
-			return fmt.Errorf("metablocking: delta pair (%d,%d) is not in canonical A<B form", ps.A, ps.B)
-		}
-		p := entity.NewPair(ps.A, ps.B)
-		if ps.CBS <= 0 {
-			delete(wg.pairs, p)
-		} else {
-			wg.pairs[p] = &stats{cbs: ps.CBS, arcs: ps.ARCS}
-		}
-		wg.markPair(p)
-	}
-	return nil
 }

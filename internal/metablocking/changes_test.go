@@ -4,91 +4,8 @@ import (
 	"testing"
 
 	"entityres/internal/blocking"
-	"entityres/internal/datagen"
 	"entityres/internal/entity"
 )
-
-// The change-tracking substrate under the delta snapshot chain: a tracker
-// registered at birth sees every mutation, DeltaSince renders exactly the
-// touched statistics, and ApplyDelta advances a restored baseline to the
-// same graph — the round trip the durable resolver's chained checkpoints
-// perform.
-
-func TestChangeSetDeltaRoundTrip(t *testing.T) {
-	m := MetaBlocker{Weight: JS, Prune: WNP}
-	sb := &blocking.TokenBlocking{}
-	keyer := sb.StreamKeyer()
-	bi := blocking.NewBlockIndex(entity.Dirty)
-	wgA := NewWeightedGraph(entity.Dirty)
-	bi.Observe(wgA)
-	cs := wgA.Track()
-	if !cs.Empty() {
-		t.Fatal("fresh tracker already dirty")
-	}
-	c, _, err := datagen.GenerateDirty(datagen.Config{Seed: 31, Entities: 30, DupRatio: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	descs := c.All()
-	for _, d := range descs[:20] {
-		if err := bi.Add(d.ID, d.Source, keyer(d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cs.Empty() {
-		t.Fatal("mutations left the tracker clean")
-	}
-
-	// First link: a tracker-from-birth delta restores the whole graph.
-	wgB := NewWeightedGraph(entity.Dirty)
-	if err := wgB.ApplyDelta(wgA.DeltaSince(cs)); err != nil {
-		t.Fatal(err)
-	}
-	assertKeptEquals(t, 1,
-		keptMap(m.PruneGraph(wgB.Graph(m.Weight), nil)),
-		keptMap(m.PruneGraph(wgA.Graph(m.Weight), nil)))
-	if !cs.Empty() {
-		t.Fatal("DeltaSince did not drain the tracker")
-	}
-
-	// Second link over mixed churn — removals shrink entries to zero,
-	// which the delta must carry as deletions.
-	for _, d := range descs[:10] {
-		bi.Remove(d.ID)
-	}
-	for _, d := range descs[20:] {
-		if err := bi.Add(d.ID, d.Source, keyer(d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wgB.ApplyDelta(wgA.DeltaSince(cs)); err != nil {
-		t.Fatal(err)
-	}
-	assertKeptEquals(t, 2,
-		keptMap(m.PruneGraph(wgB.Graph(m.Weight), nil)),
-		keptMap(m.PruneGraph(wgA.Graph(m.Weight), nil)))
-
-	// Reset discards accumulated dirt without rendering it.
-	bi.Remove(descs[15].ID)
-	if cs.Empty() {
-		t.Fatal("removal left the tracker clean")
-	}
-	cs.Reset()
-	if !cs.Empty() {
-		t.Fatal("Reset left the tracker dirty")
-	}
-	if d := wgA.DeltaSince(cs); len(d.Pairs) != 0 || len(d.BlocksPer) != 0 {
-		t.Fatalf("delta after Reset still carries entries: %+v", d)
-	}
-
-	// Malformed links fail loudly.
-	if err := wgB.ApplyDelta(nil); err == nil {
-		t.Fatal("nil delta accepted")
-	}
-	if err := wgB.ApplyDelta(&WeightedGraphDelta{NumBlocks: -1}); err == nil {
-		t.Fatal("negative block count accepted")
-	}
-}
 
 // TestDeltaPrunerAccessorsAndRequeue pins the pruner's bookkeeping
 // surface — Pending/Examined/KeptCount — and the Requeue contract: pairs
