@@ -1,15 +1,15 @@
 // Command erbench runs the reproduction experiment suite E1–E12 (see
 // DESIGN.md §3) and prints the result tables that EXPERIMENTS.md records.
-// With -parallel it instead benchmarks the concurrent pipeline engine
-// against the sequential pipeline on a synthetic workload and prints the
-// per-phase comparison. With -streaming-meta it replays a synthetic insert
-// stream through the streaming resolver with and without live
-// meta-blocking and reports throughput, the pruning ratio (comparisons
-// saved by the live weighted blocking graph), and the durable leg: WAL
-// persistence throughput plus crash-recovery time (snapshot restore + tail
-// replay). Adding -json FILE also writes the -streaming-meta measurement as
-// machine-readable JSON (e.g. BENCH_streaming.json) so the perf trajectory
-// accumulates data points.
+// With -parallel it instead runs the batch pipeline at one worker and at
+// -workers on a synthetic workload and prints the per-phase comparison.
+// With -streaming-meta it replays a synthetic insert stream through the
+// streaming resolver with and without live meta-blocking and reports
+// throughput, the pruning ratio (comparisons saved by the live weighted
+// blocking graph), and the durable leg: WAL persistence throughput plus
+// crash-recovery time (snapshot restore + tail replay). Adding -json FILE
+// also writes the -streaming-meta measurement as machine-readable JSON
+// (e.g. BENCH_streaming.json) so the perf trajectory accumulates data
+// points.
 //
 // The JSON payloads are schema 2: a "portable" section of
 // machine-independent counters (comparisons, matches, kept pairs,
@@ -62,7 +62,7 @@
 // Usage:
 //
 //	erbench [-experiment E1|E2|...|all] [-scale small|medium] [-seed N]
-//	erbench -parallel [-shards N] [-workers N] [-scale small|medium] [-seed N]
+//	erbench -parallel [-workers N] [-scale small|medium] [-seed N]
 //	erbench -streaming-meta [-meta-weight CBS|ECBS|JS] [-meta-prune WEP|WNP]
 //	        [-workers N] [-scale small|medium] [-short] [-seed N]
 //	        [-json FILE] [-baseline FILE [-tolerance F]]
@@ -106,9 +106,8 @@ func main() {
 		which    = flag.String("experiment", "all", "experiment id (E1..E12) or 'all'")
 		scale    = flag.String("scale", "small", "experiment scale: small or medium")
 		seed     = flag.Int64("seed", 42, "deterministic data-generation seed")
-		parallel = flag.Bool("parallel", false, "benchmark the concurrent pipeline engine against the sequential pipeline")
-		shards   = flag.Int("shards", 0, "blocking shards for -parallel (0 = GOMAXPROCS)")
-		workers  = flag.Int("workers", 0, "matcher/weighting workers for -parallel (0 = GOMAXPROCS)")
+		parallel = flag.Bool("parallel", false, "benchmark the batch pipeline at -workers against one worker")
+		workers  = flag.Int("workers", 0, "pipeline workers for -parallel (0 = GOMAXPROCS)")
 
 		streamMeta = flag.Bool("streaming-meta", false, "benchmark the streaming resolver with and without live meta-blocking and report the pruning ratio")
 		metaWeight = flag.String("meta-weight", "CBS", "stream-safe weight scheme for -streaming-meta: CBS, ECBS or JS")
@@ -149,7 +148,7 @@ func main() {
 		entities = 400
 	}
 	if *parallel {
-		if err := runParallelComparison(sc, *seed, *shards, *workers); err != nil {
+		if err := runParallelComparison(sc, *seed, *workers); err != nil {
 			fmt.Fprintf(os.Stderr, "erbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -221,10 +220,10 @@ func main() {
 	}
 }
 
-// runParallelComparison runs the same pipeline configuration through the
-// sequential core pipeline and the concurrent engine, asserts the match
-// sets are identical, and prints per-phase wall times with the speedup.
-func runParallelComparison(sc experiments.Scale, seed int64, shards, workers int) error {
+// runParallelComparison runs the same pipeline configuration at one worker
+// and at the given worker count, asserts the match sets are identical, and
+// prints per-phase wall times with the speedup.
+func runParallelComparison(sc experiments.Scale, seed int64, workers int) error {
 	entities := 1500
 	if sc == experiments.Medium {
 		entities = 6000
@@ -239,11 +238,13 @@ func runParallelComparison(sc experiments.Scale, seed int64, shards, workers int
 		Meta:       &er.MetaBlocker{Weight: er.ECBS, Prune: er.WEP},
 		Matcher:    &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
 	}
-	// Report the resolved parallelism, not the raw flags, so recorded
+	// Report the resolved parallelism, not the raw flag, so recorded
 	// output says what the measured run actually used.
-	opt := er.ParallelOptions{Workers: workers, Shards: shards}.Resolve()
-	fmt.Printf("pipeline comparison: %d descriptions, seed %d, GOMAXPROCS %d, shards %d, workers %d\n",
-		c.Len(), seed, runtime.GOMAXPROCS(0), opt.Shards, opt.Workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	fmt.Printf("pipeline comparison: %d descriptions, seed %d, GOMAXPROCS %d, workers %d\n",
+		c.Len(), seed, runtime.GOMAXPROCS(0), workers)
 
 	// Discarded warm-up pass: the first run through the data pays allocator
 	// growth and cache warm-up that whichever run goes second would
@@ -261,7 +262,7 @@ func runParallelComparison(sc experiments.Scale, seed int64, shards, workers int
 	}
 	seqTotal := time.Since(t0)
 
-	eng := er.NewParallelPipeline(cfg, opt)
+	eng := er.NewParallelPipeline(cfg, er.ParallelOptions{Workers: workers})
 	t0 = time.Now()
 	parRes, err := eng.Run(context.Background(), c)
 	if err != nil {

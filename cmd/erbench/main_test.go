@@ -270,7 +270,7 @@ func TestRunParallelComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batch comparison pass is seconds long")
 	}
-	if err := runParallelComparison(experiments.Small, 7, 2, 2); err != nil {
+	if err := runParallelComparison(experiments.Small, 7, 2); err != nil {
 		t.Fatalf("runParallelComparison: %v", err)
 	}
 }

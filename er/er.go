@@ -58,7 +58,6 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/multiblock"
-	"entityres/internal/pipeline"
 	"entityres/internal/progressive"
 	"entityres/internal/rdf"
 	"entityres/internal/sharded"
@@ -308,9 +307,12 @@ var (
 
 // RunProgressive executes comparisons from the scheduler within the
 // budget, recording the recall curve against gt (pass an empty Matches
-// when no ground truth is available).
+// when no ground truth is available). It is RunProgressiveParallel at one
+// worker: the scheduler receives match feedback once per fixed-size wave.
 func RunProgressive(c *Collection, s Scheduler, m *Matcher, gt *Matches, budget int64) ProgressiveResult {
-	return progressive.Run(c, s, m, gt, budget)
+	// A background context never cancels, so RunParallel cannot fail.
+	res, _ := progressive.RunParallel(context.Background(), c, s, m, gt, budget, 1)
+	return res
 }
 
 // Framework pipeline (Fig. 1).
@@ -473,17 +475,8 @@ var (
 	WriteStreamOps = incremental.WriteOps
 )
 
-// Concurrent execution engine.
+// Concurrent execution.
 type (
-	// ParallelPipeline executes a Pipeline configuration with sharded
-	// worker pools: sharded blocking index build, parallel meta-blocking
-	// edge weighting, a worker-pool matcher fed by a streaming comparison
-	// iterator, and wave-parallel budgeted progressive runs. Results are
-	// deterministic across worker/shard counts (ARCS-weighted
-	// meta-blocking excepted — see the pipeline package docs).
-	ParallelPipeline = pipeline.Engine
-	// ParallelOptions sets the engine's worker and shard counts.
-	ParallelOptions = pipeline.Options
 	// KeyedBlocker is implemented by blockers whose index build can be
 	// sharded across the collection (token, standard, q-grams,
 	// suffix-array, prefix-infix-suffix blocking).
@@ -493,10 +486,36 @@ type (
 	CompareIterator = blocking.CompareIterator
 )
 
-// NewParallelPipeline returns the concurrent engine for a pipeline
-// configuration; run it with Run(ctx, c).
+// ParallelPipeline runs a Pipeline configuration with a chosen worker
+// count: sharded blocking index build, parallel meta-blocking edge
+// weighting, a worker-pool matcher fed by a streaming comparison iterator,
+// and wave-parallel budgeted progressive runs. Pipeline.Run is the same
+// engine at one worker, and results are deterministic across worker counts
+// (ARCS-weighted meta-blocking excepted — see the core package docs).
+type ParallelPipeline struct {
+	// Config is the phase configuration.
+	Config Pipeline
+	// Options sets the parallelism.
+	Options ParallelOptions
+}
+
+// ParallelOptions sets the parallelism of a ParallelPipeline.
+type ParallelOptions struct {
+	// Workers sizes every phase's worker pool, the blocking index shards
+	// included; <= 0 means runtime.GOMAXPROCS(0).
+	Workers int
+}
+
+// NewParallelPipeline returns the engine for a pipeline configuration; run
+// it with Run(ctx, c).
 func NewParallelPipeline(cfg Pipeline, opt ParallelOptions) *ParallelPipeline {
-	return pipeline.New(cfg, opt)
+	return &ParallelPipeline{Config: cfg, Options: opt}
+}
+
+// Run executes the pipeline over the collection with the configured worker
+// count, stopping with ctx.Err() when ctx is cancelled.
+func (e *ParallelPipeline) Run(ctx context.Context, c *Collection) (*PipelineResult, error) {
+	return e.Config.RunWorkers(ctx, c, e.Options.Workers)
 }
 
 // NewCompareIterator returns a streaming iterator over the distinct

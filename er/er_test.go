@@ -177,7 +177,7 @@ func TestFacadeParallelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := er.NewParallelPipeline(cfg, er.ParallelOptions{Workers: 4, Shards: 4}).Run(context.Background(), c)
+	got, err := er.NewParallelPipeline(cfg, er.ParallelOptions{Workers: 4}).Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ const cancelCheckStride = 1024
 //
 // mapreduce.ParallelTokenBlocking builds the token-blocking collection as
 // an explicit MapReduce job with the same equals-sequential contract; this
-// function is the in-process fast path the pipeline engine uses, and the
-// one that generalizes over every KeyedBlocker.
+// function is the in-process fast path core.Pipeline's blocking phase uses,
+// and the one that generalizes over every KeyedBlocker.
 func BuildSharded(ctx context.Context, c *entity.Collection, kb KeyedBlocker, shards int) (*Blocks, error) {
 	if ctx == nil {
 		ctx = context.Background()

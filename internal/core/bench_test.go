@@ -1,7 +1,8 @@
-package pipeline
+package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // The benchmark workload is matching-dominated (the phase the worker pool
 // accelerates): a datagen people collection under token blocking produces
 // tens of thousands of distinct comparisons, each costing a tokenization +
-// Jaccard evaluation. On a single core the parallel engine pays only the
+// Jaccard evaluation. On a single core the parallel run pays only the
 // streaming/channel overhead; at 4+ cores the worker pool yields the
 // multi-× speedup the sharded design targets (the serial residue — the
 // dedup producer — is a few percent of the per-pair match cost).
@@ -62,31 +63,24 @@ func BenchmarkPipelineParallel(b *testing.B) {
 		b.Skip("pipeline benchmarks are skipped in short mode")
 	}
 	c := benchCollection(b)
-	// Untimed setup: the parallel result must be identical to the
-	// sequential one — a speedup that changes the answer is no speedup.
-	seqCfg := batchConfig()
-	want, err := seqCfg.Run(c)
+	cfg := batchConfig()
+	// Untimed setup: the GOMAXPROCS-worker result must be identical to the
+	// one-worker one — a speedup that changes the answer is no speedup.
+	want, err := cfg.Run(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := New(batchConfig(), Options{})
-	first, err := eng.Run(context.Background(), c)
+	first, err := cfg.RunWorkers(context.Background(), c, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	wp, gp := sortedPairs(want.Matches), sortedPairs(first.Matches)
-	if len(wp) != len(gp) {
-		b.Fatalf("parallel found %d matches, sequential %d", len(gp), len(wp))
-	}
-	for i := range wp {
-		if wp[i] != gp[i] {
-			b.Fatalf("match %d: parallel %v, sequential %v", i, gp[i], wp[i])
-		}
+	if gp, wp := sortedPairs(first.Matches), sortedPairs(want.Matches); !reflect.DeepEqual(gp, wp) {
+		b.Fatalf("parallel found %d matches, sequential %d, or they differ", len(gp), len(wp))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(context.Background(), c)
+		res, err := cfg.RunWorkers(context.Background(), c, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,11 +7,31 @@
 // iterative (Swoosh), iterative blocking, relationship-based collective,
 // budget-bounded progressive, and streaming (incremental resolution of
 // arriving descriptions, package incremental).
+//
+// RunWorkers is the one phase sequencer, with worker pools of a chosen
+// size: blocking shards the entity collection across workers into
+// per-shard inverted indexes merged in ID order (blocking.BuildSharded);
+// meta-blocking shards the edge-weight accumulation over the block list
+// (metablocking.BuildGraphParallel); matching fans comparisons out to a
+// worker pool fed by a streaming blocking.CompareIterator, so the
+// distinct-pair list is never materialized; progressive runs execute
+// wave-synchronously under an exact comparison budget
+// (progressive.RunParallel). Run is RunWorkers at one worker, where each of
+// those calls runs its sequential building block.
+//
+// The result is deterministic in the worker count: for a fixed
+// configuration and collection, every worker count produces the same match
+// set, comparison count and block collection. One documented exception:
+// ARCS-weighted meta-blocking accumulates floating-point weights in a
+// partition-dependent order, so its weights — and, on exact
+// pruning-threshold ties, the surviving edges — can differ across worker
+// counts (see metablocking.BuildGraphParallel).
 package core
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"entityres/internal/blocking"
@@ -156,9 +176,7 @@ type Result struct {
 // components of the match output).
 func (r *Result) Clusters() [][]entity.ID { return r.Matches.Clusters() }
 
-// Validate checks that the configuration is runnable. Both the sequential
-// runner and the concurrent engine (package pipeline) call it, so the two
-// cannot drift apart on what counts as a valid configuration.
+// Validate checks that the configuration is runnable.
 func (p *Pipeline) Validate() error {
 	if p.Blocker == nil {
 		return fmt.Errorf("core: pipeline requires a Blocker")
@@ -200,16 +218,42 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// StreamingSetup builds the incremental resolver for a Streaming-mode
-// pipeline over a collection of the given kind — durable (crash-recovered
-// from StreamDir) when the pipeline sets one, in-memory otherwise. Shared
-// by the sequential runner and the concurrent engine so both construct
-// identical resolvers (the engine passes its worker count; the match output
-// is worker-independent).
-func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (*incremental.Resolver, error) {
+// streamResolver is what the streaming replay drives: the single-node
+// resolver (package incremental) and the sharded one (package sharded)
+// both provide it.
+type streamResolver interface {
+	Insert(ctx context.Context, d *entity.Description) (entity.ID, error)
+	Flush(ctx context.Context) error
+	RestructuredBlocks() (*blocking.Blocks, error)
+	Blocks() *blocking.Blocks
+	Matches() (*entity.Matches, error)
+	Stats() (incremental.Stats, error)
+	Close() error
+}
+
+// openStream builds the streaming resolver of a Streaming-mode pipeline
+// over a collection of the given kind: the sharded resolver when
+// StreamShards > 1, the single-node one otherwise — durable (crash-recovered
+// from StreamDir) when the pipeline sets one, in-memory otherwise.
+func (p *Pipeline) openStream(kind entity.Kind, workers int) (streamResolver, error) {
 	sb, ok := p.Blocker.(blocking.StreamableBlocker)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
+	}
+	if p.StreamShards > 1 {
+		cfg := sharded.Config{
+			Kind:    kind,
+			Blocker: sb,
+			Matcher: p.Matcher,
+			Workers: workers,
+			Meta:    p.Meta,
+			Shards:  p.StreamShards,
+			Durable: p.StreamDurable,
+		}
+		if p.StreamDir != "" {
+			return sharded.Open(p.StreamDir, cfg)
+		}
+		return sharded.New(cfg)
 	}
 	cfg := incremental.Config{
 		Kind:    kind,
@@ -225,42 +269,12 @@ func (p *Pipeline) StreamingSetup(kind entity.Kind, workers int) (*incremental.R
 	return incremental.New(cfg)
 }
 
-// ShardedSetup builds the sharded streaming resolver for a Streaming-mode
-// pipeline with StreamShards > 1 — per-shard durable under StreamDir when
-// the pipeline sets one, in-memory otherwise.
-func (p *Pipeline) ShardedSetup(kind entity.Kind, workers int) (*sharded.Resolver, error) {
-	sb, ok := p.Blocker.(blocking.StreamableBlocker)
-	if !ok {
-		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
-	}
-	cfg := sharded.Config{
-		Kind:    kind,
-		Blocker: sb,
-		Matcher: p.Matcher,
-		Workers: workers,
-		Meta:    p.Meta,
-		Shards:  p.StreamShards,
-		Durable: p.StreamDurable,
-	}
-	if p.StreamDir != "" {
-		return sharded.Open(p.StreamDir, cfg)
-	}
-	return sharded.New(cfg)
-}
-
-// ReplayStreaming replays c through a fresh incremental resolver built
-// from the pipeline configuration and shapes the outcome as a batch
-// result (matches, comparison count, block collection). It is the single
-// streaming-mode execution path, shared by the sequential runner (one
-// worker, background context) and the concurrent engine (its worker pool
-// and cancellable context) so the two cannot drift apart. With
-// StreamShards > 1 the replay runs through the sharded resolver instead —
-// the results are bit-exact either way.
-func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	if p.StreamShards > 1 {
-		return p.replayStreamingSharded(ctx, res, c, workers)
-	}
-	r, err := p.StreamingSetup(c.Kind(), workers)
+// replayStream replays c through a fresh streaming resolver built from the
+// pipeline configuration and shapes the outcome as a batch result (matches,
+// comparison count, block collection). The results are bit-exact whether
+// the resolver is single-node or sharded.
+func (p *Pipeline) replayStream(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
+	r, err := p.openStream(c.Kind(), workers)
 	if err != nil {
 		return err
 	}
@@ -301,131 +315,101 @@ func (p *Pipeline) ReplayStreaming(ctx context.Context, res *Result, c *entity.C
 	return r.Close()
 }
 
-// replayStreamingSharded is ReplayStreaming over the sharded resolver; the
-// extraction sequence mirrors the single-node path exactly.
-func (p *Pipeline) replayStreamingSharded(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	r, err := p.ShardedSetup(c.Kind(), workers)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for _, d := range c.All() {
-		if _, err := r.Insert(ctx, d); err != nil {
-			return err
-		}
-	}
-	if p.Meta != nil {
-		if err := r.Flush(ctx); err != nil {
-			return err
-		}
-		blocks, err := r.RestructuredBlocks()
-		if err != nil {
-			return err
-		}
-		res.Blocks = blocks
-	} else {
-		res.Blocks = r.Blocks()
-	}
-	matches, err := r.Matches()
-	if err != nil {
-		return err
-	}
-	res.Matches = matches
-	st, err := r.Stats()
-	if err != nil {
-		return err
-	}
-	res.Comparisons = st.Comparisons
-	return r.Close()
-}
-
-// CollectiveSetup returns the collective-mode configuration with the
-// default (the Matcher's similarity and threshold) applied.
-func (p *Pipeline) CollectiveSetup() *iterative.Collective {
-	if p.CollectiveConfig != nil {
-		return p.CollectiveConfig
-	}
-	return &iterative.Collective{Base: p.Matcher.Sim, Threshold: p.Matcher.Threshold}
-}
-
-// ProgressiveSetup returns the progressive-mode scheduler factory,
-// effective budget and ground truth with defaults applied: static block
-// order, unlimited budget, empty ground truth. Shared with the concurrent
-// engine so both runners execute the same effective configuration.
-func (p *Pipeline) ProgressiveSetup() (SchedulerFactory, int64, *entity.Matches) {
-	factory := p.Scheduler
-	if factory == nil {
-		factory = func(_ *entity.Collection, bs *blocking.Blocks) progressive.Scheduler {
-			return progressive.NewStaticOrder(bs)
-		}
-	}
-	budget := p.Budget
-	if budget <= 0 {
-		budget = 1 << 62
-	}
-	gt := p.GroundTruth
-	if gt == nil {
-		gt = entity.NewMatches()
-	}
-	return factory, budget, gt
-}
-
-// Run executes the pipeline over the collection.
+// Run executes the pipeline over the collection: RunWorkers at one worker
+// under a background context, where every phase runs its sequential
+// building block.
 func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
+	return p.RunWorkers(context.Background(), c, 1)
+}
+
+// RunWorkers executes the pipeline over the collection with every phase's
+// worker pool sized to workers; <= 0 means runtime.GOMAXPROCS(0). The run
+// stops between phases — and, inside the streaming phases, between pair
+// chunks — when ctx is cancelled, returning ctx.Err() wrapped with the
+// phase it stopped in. A nil ctx means context.Background().
+func (p *Pipeline) RunWorkers(ctx context.Context, c *entity.Collection, workers int) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	res := &Result{}
+	// phase times fn and attributes its error, so cancellations and phase
+	// failures surface as "core: <phase>: <cause>" wherever they occur.
 	phase := func(name string, fn func() error) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s: %w", name, err)
+		}
 		t0 := time.Now()
 		err := fn()
 		res.Phases = append(res.Phases, PhaseStat{Name: name, Duration: time.Since(t0)})
-		return err
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", name, err)
+		}
+		return nil
 	}
 
-	// Streaming mode owns its whole phase sequence: the incremental
-	// resolver blocks, schedules and matches each arriving description in
-	// one pass, so the batch blocking/planning phases below never run.
+	// Streaming mode owns its whole phase sequence: the streaming resolver
+	// blocks, schedules and matches each arriving description in one pass,
+	// so the batch blocking/planning phases below never run.
 	if p.Mode == Streaming {
 		if err := phase("streaming", func() error {
-			return p.ReplayStreaming(context.Background(), res, c, 1)
+			return p.replayStream(ctx, res, c, workers)
 		}); err != nil {
-			return nil, fmt.Errorf("core: streaming: %w", err)
+			return nil, err
 		}
 		return res, nil
 	}
 
-	// Blocking phase.
+	// Blocking phase: sharded over the workers when the blocker exposes a
+	// key function.
 	var bs *blocking.Blocks
-	if err := phase("blocking", func() error {
-		var err error
-		bs, err = p.Blocker.Block(c)
+	if err := phase("blocking", func() (err error) {
+		if kb, ok := p.Blocker.(blocking.KeyedBlocker); ok {
+			bs, err = blocking.BuildSharded(ctx, c, kb, workers)
+		} else {
+			bs, err = p.Blocker.Block(c)
+		}
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("core: blocking: %w", err)
+		return nil, err
 	}
 
-	// Planning phase: block cleaning + meta-blocking.
+	// Planning phase: block cleaning (cheap, sequential) + meta-blocking
+	// (edge weighting sharded over the block list).
 	if len(p.Processors) > 0 {
-		_ = phase("block-cleaning", func() error {
+		if err := phase("block-cleaning", func() error {
 			bs = blockproc.Chain(p.Processors).Process(bs)
 			return nil
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	if p.Meta != nil {
-		_ = phase("meta-blocking", func() error {
-			bs = p.Meta.Restructure(c, bs)
+		if err := phase("meta-blocking", func() error {
+			bs = p.Meta.RestructureParallel(c, bs, workers)
 			return nil
-		})
+		}); err != nil {
+			return nil, err
+		}
 	}
 	res.Blocks = bs
 
-	// Scheduling + matching + update phases, by mode.
+	// Scheduling + matching + update phases, by mode. Batch and
+	// Progressive stream through worker pools; the inherently sequential
+	// iterative modes (Swoosh-style merging mutates the profile set it is
+	// iterating, collective resolution reorders on every merge) run their
+	// sequential algorithms at any worker count.
 	err := phase(p.Mode.String(), func() error {
 		switch p.Mode {
 		case Batch:
-			out := matching.ResolveBlocks(c, bs, p.Matcher)
+			out, err := matching.ResolveBlocksParallel(ctx, c, bs, p.Matcher, workers)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
+			return err
 		case MergingIterative:
 			out := iterative.RSwoosh(c, p.Matcher)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
@@ -433,14 +417,32 @@ func (p *Pipeline) Run(c *entity.Collection) (*Result, error) {
 			out := iterblock.Resolve(c, bs, p.Matcher)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
 		case Collective:
-			out := p.CollectiveSetup().Resolve(c, bs.DistinctPairs().Pairs())
+			coll := p.CollectiveConfig
+			if coll == nil {
+				coll = &iterative.Collective{Base: p.Matcher.Sim, Threshold: p.Matcher.Threshold}
+			}
+			out := coll.Resolve(c, bs.DistinctPairs().Pairs())
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
 		case Progressive:
-			factory, budget, gt := p.ProgressiveSetup()
-			out := progressive.Run(c, factory(c, bs), p.Matcher, gt, budget)
+			var sched progressive.Scheduler
+			if p.Scheduler != nil {
+				sched = p.Scheduler(c, bs)
+			} else {
+				sched = progressive.NewStaticOrder(bs)
+			}
+			budget := p.Budget
+			if budget <= 0 {
+				budget = 1 << 62
+			}
+			gt := p.GroundTruth
+			if gt == nil {
+				gt = entity.NewMatches()
+			}
+			out, err := progressive.RunParallel(ctx, c, sched, p.Matcher, gt, budget, workers)
 			res.Matches, res.Comparisons, res.Curve = out.Matches, out.Comparisons, out.Curve
+			return err
 		default:
-			return fmt.Errorf("core: unknown mode %v", p.Mode)
+			return fmt.Errorf("unknown mode %v", p.Mode)
 		}
 		return nil
 	})

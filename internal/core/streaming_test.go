@@ -13,6 +13,7 @@ import (
 	"entityres/internal/incremental"
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
+	"entityres/internal/sharded"
 )
 
 // TestPipelineStreamingEqualsBatch is the mode-level differential contract:
@@ -211,13 +212,13 @@ func TestStreamingValidation(t *testing.T) {
 	}
 }
 
-// TestStreamingSetupErrors covers the construction error paths reachable
-// when the engine calls StreamingSetup outside Run's validation.
+// TestStreamingSetupErrors covers the construction error path of
+// openStream, which Run's validation otherwise shields.
 func TestStreamingSetupErrors(t *testing.T) {
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	p := &Pipeline{Blocker: &blocking.AttributeClustering{}, Matcher: m}
-	if _, err := p.StreamingSetup(0, 1); err == nil {
-		t.Fatal("StreamingSetup accepted a collection-dependent blocker")
+	if _, err := p.openStream(0, 1); err == nil {
+		t.Fatal("openStream accepted a collection-dependent blocker")
 	}
 }
 
@@ -377,7 +378,10 @@ func TestPipelineStreamShardsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.ShardedSetup(c.Kind(), 1)
+	r, err := sharded.Open(dir, sharded.Config{
+		Kind: c.Kind(), Blocker: &blocking.TokenBlocking{}, Matcher: m, Shards: 3,
+		Durable: incremental.DurableOptions{NoSync: true, SnapshotEvery: 8},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -438,7 +439,10 @@ func E10Progressive(scale Scale, seed int64) (*Result, error) {
 		fmt.Sprintf("E10: progressive recall (budget = %d comparisons)", total),
 		"scheduler", "r@1%", "r@5%", "r@10%", "r@25%", "r@50%", "AUC"))
 	for _, s := range schedulers {
-		run := progressive.Run(c, s.make(), m, gt, total)
+		run, err := progressive.RunParallel(context.Background(), c, s.make(), m, gt, total, 1)
+		if err != nil {
+			return nil, err
+		}
 		row := []any{s.name}
 		for _, f := range fractions {
 			row = append(row, run.Curve.RecallAt(int64(f*float64(total))))
@@ -473,7 +477,8 @@ func E11BudgetWindows(scale Scale, seed int64) (*Result, error) {
 		fmt.Sprintf("E11: benefit/cost windows (budget = %d, 10%%)", budget),
 		"scheduler", "recall@budget"))
 	addRun := func(name string, s progressive.Scheduler) {
-		run := progressive.Run(c, s, m, gt, budget)
+		// A background context never cancels, so RunParallel cannot fail.
+		run, _ := progressive.RunParallel(context.Background(), c, s, m, gt, budget, 1)
 		r := run.Curve.Final().Recall
 		res.Table.AddRow(name, r)
 		res.Metrics[name] = r

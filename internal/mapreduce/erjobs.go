@@ -16,7 +16,7 @@ import (
 // pattern of [18]): map emits (token, description) for every profile
 // token; reduce materializes one block per token. The result equals the
 // sequential blocking.TokenBlocking output. blocking.BuildSharded is the
-// in-process counterpart the pipeline engine uses (shared-memory shard
+// in-process counterpart core.Pipeline uses (shared-memory shard
 // merge instead of shuffle, generalized over every KeyedBlocker).
 func ParallelTokenBlocking(c *entity.Collection, p *token.Profiler, workers int) (*blocking.Blocks, error) {
 	if p == nil {
@@ -85,7 +85,7 @@ type partial struct {
 //
 // Weights are then computed per edge from the aggregates. The result
 // equals metablocking.BuildGraph. metablocking.BuildGraphParallel is the
-// in-process counterpart the pipeline engine uses; a weighting-semantics
+// in-process counterpart core.Pipeline uses; a weighting-semantics
 // change in either place must be mirrored in the other.
 func ParallelBuildGraph(bs *blocking.Blocks, scheme metablocking.WeightScheme, workers int) (*graph.Graph, error) {
 	kind := bs.Kind()

@@ -206,8 +206,8 @@ type Result struct {
 }
 
 // ResolveBlocks executes the matcher over every distinct comparison of bs.
-// It delegates to the engine's workers==1 streaming path so the sequential
-// pipeline and the parallel engine share one resolve loop.
+// It is ResolveBlocksParallel at one worker: the same streaming resolve
+// loop, without the worker pool.
 func ResolveBlocks(c *entity.Collection, bs *blocking.Blocks, m *Matcher) Result {
 	res, _ := resolveIteratorSequential(context.Background(), c, bs, m)
 	return res

@@ -24,8 +24,8 @@ import (
 //
 // mapreduce.ParallelBuildGraph computes the same graph as an explicit
 // MapReduce job (the distributed formulation the paper surveys) with its
-// own weighting tail; this function is the in-process fast path the
-// pipeline engine uses. A change to weighting semantics here (in
+// own weighting tail; this function is the in-process fast path
+// core.Pipeline's meta-blocking phase uses. A change to weighting semantics here (in
 // WeightedGraph.Graph, shared with the sequential build and the streaming
 // resolver) must be mirrored there.
 func BuildGraphParallel(bs *blocking.Blocks, scheme WeightScheme, workers int) *graph.Graph {

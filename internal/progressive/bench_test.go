@@ -47,7 +47,7 @@ func BenchmarkSchedulers(b *testing.B) {
 		b.Run(cs.name, func(b *testing.B) {
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				res := Run(c, cs.make(), m, gt, budget)
+				res := runOne(b, c, cs.make(), m, gt, budget)
 				recall = res.Curve.Final().Recall
 			}
 			b.ReportMetric(recall, "recall@10%")

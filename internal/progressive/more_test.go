@@ -74,7 +74,7 @@ func TestRunStopsWhenScheduleEnds(t *testing.T) {
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	gt := entity.NewMatches()
 	gt.Add(0, 1)
-	res := Run(c, NewStaticOrder(bs), m, gt, 1<<40)
+	res := runOne(t, c, NewStaticOrder(bs), m, gt, 1<<40)
 	if res.Comparisons != 1 {
 		t.Fatalf("comparisons = %d", res.Comparisons)
 	}
@@ -92,7 +92,7 @@ func TestRunEmptyGroundTruthCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
-	res := Run(c, NewStaticOrder(bs), m, entity.NewMatches(), 10)
+	res := runOne(t, c, NewStaticOrder(bs), m, entity.NewMatches(), 10)
 	if res.Curve.Final().Recall != 0 {
 		t.Fatal("recall against empty gt must be 0")
 	}

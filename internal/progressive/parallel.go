@@ -15,19 +15,22 @@ import (
 // result, is identical for any degree of parallelism.
 const waveSize = 64
 
-// RunParallel is the budgeted progressive runner with matcher execution
-// fanned out to a worker pool. It proceeds in waves: up to waveSize
-// comparisons are pulled from the scheduler, matched concurrently, and the
-// outcomes fed back to the scheduler in pull order before the next wave is
-// scheduled. The run stops exactly at the comparison budget.
+// RunParallel is the budgeted progressive runner: it executes comparisons
+// from the scheduler with the matcher until the budget is exhausted or the
+// schedule ends, fanning matcher execution out to a worker pool. It
+// proceeds in waves: up to waveSize comparisons are pulled from the
+// scheduler, matched (concurrently when workers > 1), and the outcomes fed
+// back to the scheduler in pull order before the next wave is scheduled.
+// The run stops exactly at the comparison budget. The ground truth only
+// annotates the recall curve — neither the scheduler nor the matcher sees
+// it.
 //
-// Semantics versus Run: identical for feedback-insensitive schedulers
-// (static, random, and any scheduler whose Feedback is a no-op), since the
-// pull order and the per-pair decisions are unchanged. Adaptive schedulers
-// (PSNM lookahead, benefit/cost) observe feedback wave-synchronously —
-// outcomes within one wave cannot reorder that same wave — which is the
-// standard trade a parallel progressive executor makes; because waveSize is
-// fixed, the result still does not depend on the worker count.
+// Adaptive schedulers (PSNM lookahead, benefit/cost) observe feedback
+// wave-synchronously — outcomes within one wave cannot reorder that same
+// wave — which is the standard trade a parallel progressive executor makes;
+// because waveSize is fixed, the result does not depend on the worker
+// count. Feedback-insensitive schedulers (static, random) execute exactly
+// their pull order.
 //
 // When ctx is cancelled between waves the partial result is returned with
 // ctx.Err(). workers <= 0 means GOMAXPROCS.

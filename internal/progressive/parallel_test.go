@@ -8,6 +8,7 @@ import (
 	"entityres/internal/blocking"
 	"entityres/internal/datagen"
 	"entityres/internal/entity"
+	"entityres/internal/evaluation"
 	"entityres/internal/matching"
 )
 
@@ -35,14 +36,59 @@ func pairsSorted(m *entity.Matches) []entity.Pair {
 	return ps
 }
 
-// TestRunParallelMatchesRunStatic: with a feedback-insensitive scheduler
-// the wave-parallel runner must reproduce the sequential runner exactly —
-// matches, comparison count and recall curve — for any worker count.
+// runOne is RunParallel at one worker under a background context.
+func runOne(tb testing.TB, c *entity.Collection, s Scheduler, m *matching.Matcher, gt *entity.Matches, budget int64) RunResult {
+	tb.Helper()
+	res, err := RunParallel(context.Background(), c, s, m, gt, budget, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// staticOracle executes the static block order strictly one comparison at
+// a time, recording the recall curve the way the runner does.
+func staticOracle(c *entity.Collection, bs *blocking.Blocks, m *matching.Matcher, gt *entity.Matches, budget int64) RunResult {
+	res := RunResult{Matches: entity.NewMatches()}
+	found := 0
+	record := func() {
+		res.Curve = append(res.Curve, evaluation.CurvePoint{
+			Comparisons: res.Comparisons,
+			Recall:      float64(found) / float64(gt.Len()),
+		})
+	}
+	bs.EachDistinctComparison(func(p entity.Pair) bool {
+		if res.Comparisons == budget {
+			return false
+		}
+		res.Comparisons++
+		if ok, _ := m.Match(c.Get(p.A), c.Get(p.B)); ok {
+			res.Matches.Add(p.A, p.B)
+			if gt.Contains(p.A, p.B) {
+				found++
+				record()
+			}
+		}
+		return true
+	})
+	record()
+	return res
+}
+
+// TestRunParallelMatchesRunStatic: with the feedback-insensitive static
+// scheduler every worker count reproduces an independent static run —
+// matching.ResolveBlocks over the same blocks for an unbounded budget, and
+// a strict one-at-a-time loop over the static order (matches, comparison
+// count and recall curve) for a bounded one.
 func TestRunParallelMatchesRunStatic(t *testing.T) {
 	c, gt, bs := parallelRunFixture(t)
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
+	full := matching.ResolveBlocks(c, bs, m)
 	for _, budget := range []int64{100, 1000, 1 << 40} {
-		want := Run(c, NewStaticOrder(bs), m, gt, budget)
+		want := RunResult{Matches: full.Matches, Comparisons: full.Comparisons}
+		if budget < full.Comparisons {
+			want = staticOracle(c, bs, m, gt, budget)
+		}
 		for _, workers := range []int{0, 1, 3, 8} {
 			got, err := RunParallel(context.Background(), c, NewStaticOrder(bs), m, gt, budget, workers)
 			if err != nil {
@@ -59,6 +105,14 @@ func TestRunParallelMatchesRunStatic(t *testing.T) {
 				if gp[i] != wp[i] {
 					t.Fatalf("budget=%d workers=%d: match %d is %v, want %v", budget, workers, i, gp[i], wp[i])
 				}
+			}
+			if want.Curve == nil {
+				// ResolveBlocks records no curve; the run's final point
+				// still has to account for every comparison.
+				if f := got.Curve.Final(); f.Comparisons != want.Comparisons {
+					t.Fatalf("budget=%d workers=%d: final curve point %+v", budget, workers, f)
+				}
+				continue
 			}
 			if len(got.Curve) != len(want.Curve) {
 				t.Fatalf("budget=%d workers=%d: curve has %d points, want %d", budget, workers, len(got.Curve), len(want.Curve))

@@ -275,7 +275,7 @@ func TestRunBudgetAndCurve(t *testing.T) {
 	}
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	budget := int64(200)
-	res := Run(c, NewStaticOrder(bs), m, gt, budget)
+	res := runOne(t, c, NewStaticOrder(bs), m, gt, budget)
 	if res.Comparisons > budget {
 		t.Fatalf("budget exceeded: %d", res.Comparisons)
 	}
@@ -286,7 +286,7 @@ func TestRunBudgetAndCurve(t *testing.T) {
 		t.Fatal("final curve point should record total comparisons")
 	}
 	// Unlimited budget reaches the blocking recall ceiling.
-	all := Run(c, NewStaticOrder(bs), m, gt, 1<<40)
+	all := runOne(t, c, NewStaticOrder(bs), m, gt, 1<<40)
 	if all.Curve.Final().Recall <= 0 {
 		t.Fatal("no recall achieved with full budget")
 	}
@@ -305,8 +305,8 @@ func TestProgressiveBeatsRandomEarly(t *testing.T) {
 	total := int64(bs.DistinctPairs().Len())
 	budget := total / 10 // 10% of the work
 	key := blocking.SortedTokensKey(nil)
-	psnm := Run(c, NewPSNM(c, key, true, 0), m, gt, budget)
-	random := Run(c, NewRandomOrder(bs, 3), m, gt, budget)
+	psnm := runOne(t, c, NewPSNM(c, key, true, 0), m, gt, budget)
+	random := runOne(t, c, NewRandomOrder(bs, 3), m, gt, budget)
 	if psnm.Curve.Final().Recall <= random.Curve.Final().Recall {
 		t.Fatalf("PSNM@10%% recall %v should beat random %v",
 			psnm.Curve.Final().Recall, random.Curve.Final().Recall)

@@ -3,7 +3,6 @@ package progressive
 import (
 	"entityres/internal/entity"
 	"entityres/internal/evaluation"
-	"entityres/internal/matching"
 )
 
 // RunResult is the outcome of a budgeted progressive run.
@@ -15,41 +14,4 @@ type RunResult struct {
 	Matches *entity.Matches
 	// Comparisons is the number executed (≤ budget).
 	Comparisons int64
-}
-
-// Run executes comparisons from the scheduler with the matcher until the
-// budget is exhausted or the schedule ends. The ground truth is used only
-// to annotate the recall curve — neither the scheduler nor the matcher
-// sees it. Every comparison (match or not) is fed back to the scheduler.
-func Run(c *entity.Collection, sched Scheduler, m *matching.Matcher, gt *entity.Matches, budget int64) RunResult {
-	res := RunResult{Matches: entity.NewMatches()}
-	foundGT := 0
-	record := func() {
-		recall := 0.0
-		if gt.Len() > 0 {
-			recall = float64(foundGT) / float64(gt.Len())
-		}
-		res.Curve = append(res.Curve, evaluation.CurvePoint{
-			Comparisons: res.Comparisons,
-			Recall:      recall,
-		})
-	}
-	for res.Comparisons < budget {
-		p, ok := sched.Next()
-		if !ok {
-			break
-		}
-		res.Comparisons++
-		matched, _ := m.Match(c.Get(p.A), c.Get(p.B))
-		sched.Feedback(p, matched)
-		if matched {
-			res.Matches.Add(p.A, p.B)
-			if gt.Contains(p.A, p.B) {
-				foundGT++
-				record()
-			}
-		}
-	}
-	record()
-	return res
 }
