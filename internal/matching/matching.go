@@ -9,6 +9,8 @@ package matching
 import (
 	"context"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"entityres/internal/blocking"
@@ -29,6 +31,14 @@ type ProfileSimilarity interface {
 // TokenJaccard is the schema-agnostic Jaccard similarity of the two
 // descriptions' token sets — robust to schema heterogeneity, blind to
 // token importance.
+//
+// Through the executors (ResolveBlocks, ResolvePairs,
+// ResolveBlocksParallel) each record is tokenized once per call and pairs
+// are compared as sorted token rows. A direct Sim call still tokenizes both
+// sides, which merged profiles (R-Swoosh, iterative blocking) need because
+// they exist in no collection. A type that embeds TokenJaccard and
+// overrides Sim is a different concrete type, so the executors run its own
+// Sim on every pair.
 type TokenJaccard struct {
 	// Profiler controls tokenization; nil means token.DefaultProfiler.
 	Profiler *token.Profiler
@@ -52,6 +62,10 @@ func (t *TokenJaccard) Sim(a, b *entity.Description) float64 {
 // for merging-based resolution (R-Swoosh, iterative blocking): a merged
 // profile that absorbs new tokens never loses containment against the
 // still-unmerged duplicates whose token sets it covers.
+//
+// The executors tokenize each record once per call and compare sorted
+// token rows, exactly as for TokenJaccard; a direct Sim call tokenizes both
+// sides, and an embedding type keeps its own Sim.
 type TokenContainment struct {
 	// Profiler controls tokenization; nil means token.DefaultProfiler.
 	Profiler *token.Profiler
@@ -209,18 +223,67 @@ type Result struct {
 // It is ResolveBlocksParallel at one worker: the same streaming resolve
 // loop, without the worker pool.
 func ResolveBlocks(c *entity.Collection, bs *blocking.Blocks, m *Matcher) Result {
-	res, _ := resolveIteratorSequential(context.Background(), c, bs, m)
+	res, _ := ResolveBlocksParallel(context.Background(), c, bs, m, 1)
 	return res
 }
 
 // ResolvePairs executes the matcher over an explicit pair list.
 func ResolvePairs(c *entity.Collection, pairs []entity.Pair, m *Matcher) Result {
 	res := Result{Matches: entity.NewMatches()}
+	match := m.bind(c, func(yield func(entity.ID) bool) {
+		for _, p := range pairs {
+			if !yield(p.A) || !yield(p.B) {
+				return
+			}
+		}
+	})
 	for _, p := range pairs {
 		res.Comparisons++
-		if ok, _ := m.Match(c.Get(p.A), c.Get(p.B)); ok {
+		if match(p.A, p.B) {
 			res.Matches.Add(p.A, p.B)
 		}
 	}
 	return res
+}
+
+// bind returns m's decision for one resolve call whose pairs draw only on
+// the records that members yields. For TokenJaccard and TokenContainment it
+// tokenizes each distinct member once into a sorted, duplicate-free row and
+// decides a pair by merging the two rows, which gives exactly Sim's value
+// because the intersection and set sizes are the same. The rows live only
+// for the call, and the ID → row map is sized by the members, never by the
+// collection. Every other similarity, including types that embed the two
+// and override Sim, is called through Match on the descriptions.
+func (m *Matcher) bind(c *entity.Collection, members iter.Seq[entity.ID]) func(a, b entity.ID) bool {
+	var prof *token.Profiler
+	var kernel func(a, b []string) float64
+	switch s := m.Sim.(type) {
+	case *TokenJaccard:
+		prof, kernel = s.Profiler, similarity.JaccardSorted
+	case *TokenContainment:
+		prof, kernel = s.Profiler, similarity.OverlapSorted
+	default:
+		return func(a, b entity.ID) bool {
+			ok, _ := m.Match(c.Get(a), c.Get(b))
+			return ok
+		}
+	}
+	if prof == nil {
+		prof = token.DefaultProfiler()
+	}
+	slot := make(map[entity.ID]int)
+	var rows [][]string
+	for id := range members {
+		if _, ok := slot[id]; ok {
+			continue
+		}
+		slot[id] = len(rows)
+		row := prof.Tokens(c.Get(id))
+		slices.Sort(row)
+		rows = append(rows, slices.Compact(row))
+	}
+	threshold := m.Threshold
+	return func(a, b entity.ID) bool {
+		return kernel(rows[slot[a]], rows[slot[b]]) >= threshold
+	}
 }

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"context"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,8 +33,12 @@ func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocki
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if err := ctx.Err(); err != nil {
+		return Result{Matches: entity.NewMatches()}, err
+	}
+	match := m.bind(c, blockMembers(bs))
 	if workers == 1 {
-		return resolveIteratorSequential(ctx, c, bs, m)
+		return resolveIteratorSequential(ctx, bs, match)
 	}
 
 	pairsCh := make(chan []entity.Pair, workers*2)
@@ -86,7 +91,7 @@ func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocki
 			for chunk := range pairsCh {
 				var hits []entity.Pair
 				for _, p := range chunk {
-					if ok, _ := m.Match(c.Get(p.A), c.Get(p.B)); ok {
+					if match(p.A, p.B) {
 						hits = append(hits, p)
 					}
 				}
@@ -114,7 +119,7 @@ func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocki
 
 // resolveIteratorSequential is the workers==1 path: same streaming iterator
 // and cancellation semantics, no goroutines.
-func resolveIteratorSequential(ctx context.Context, c *entity.Collection, bs *blocking.Blocks, m *Matcher) (Result, error) {
+func resolveIteratorSequential(ctx context.Context, bs *blocking.Blocks, match func(a, b entity.ID) bool) (Result, error) {
 	res := Result{Matches: entity.NewMatches()}
 	it := blocking.NewCompareIterator(bs)
 	for {
@@ -126,8 +131,27 @@ func resolveIteratorSequential(ctx context.Context, c *entity.Collection, bs *bl
 			return res, nil
 		}
 		res.Comparisons++
-		if ok, _ := m.Match(c.Get(p.A), c.Get(p.B)); ok {
+		if match(p.A, p.B) {
 			res.Matches.Add(p.A, p.B)
+		}
+	}
+}
+
+// blockMembers yields the members of every block of bs that suggests at
+// least one comparison: the records a resolve over bs can touch.
+func blockMembers(bs *blocking.Blocks) iter.Seq[entity.ID] {
+	return func(yield func(entity.ID) bool) {
+		for _, b := range bs.All() {
+			if b.Comparisons(bs.Kind()) == 0 {
+				continue
+			}
+			for _, side := range [2][]entity.ID{b.S0, b.S1} {
+				for _, id := range side {
+					if !yield(id) {
+						return
+					}
+				}
+			}
 		}
 	}
 }

@@ -56,4 +56,11 @@ func BenchmarkSetMeasures(b *testing.B) {
 			benchSink = JaccardSorted(xs, ys)
 		}
 	})
+	b.Run("sorted-overlap", func(b *testing.B) {
+		xs, ys := x.Sorted(), y.Sorted()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = OverlapSorted(xs, ys)
+		}
+	})
 }

@@ -61,8 +61,10 @@ func CosineSets(a, b token.Set) float64 {
 }
 
 // JaccardSorted computes Jaccard over two ascending-sorted token slices
-// without allocating sets — the hot-path form used by similarity joins.
-// Duplicate tokens within one slice must already be removed.
+// by linear merge, without allocating: the matcher's hot path, which
+// tokenizes each record once per resolve call and compares the rows.
+// Duplicate tokens within one slice must already be removed; the result is
+// then exactly Jaccard over the corresponding sets.
 func JaccardSorted(a, b []string) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -73,6 +75,19 @@ func JaccardSorted(a, b []string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
+}
+
+// OverlapSorted is Overlap over two ascending-sorted, duplicate-free token
+// slices, by linear merge and without allocating.
+func OverlapSorted(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	m := min(len(a), len(b))
+	if m == 0 {
+		return 0
+	}
+	return float64(IntersectSortedSize(a, b)) / float64(m)
 }
 
 // IntersectSortedSize returns the intersection size of two ascending-sorted

@@ -67,6 +67,34 @@ func TestJaccardSortedAgreesWithSet(t *testing.T) {
 	}
 }
 
+func TestOverlapSorted(t *testing.T) {
+	a, b := []string{"x", "y"}, []string{"y"}
+	if got := OverlapSorted(a, b); got != 1 {
+		t.Fatalf("OverlapSorted = %v", got)
+	}
+	if got := OverlapSorted(nil, nil); got != 1 {
+		t.Fatalf("OverlapSorted empty = %v", got)
+	}
+	if got := OverlapSorted(a, nil); got != 0 {
+		t.Fatalf("OverlapSorted vs empty = %v", got)
+	}
+}
+
+// TestSortedKernelsDoNotAllocate pins the matcher's per-comparison kernels
+// at zero allocations.
+func TestSortedKernelsDoNotAllocate(t *testing.T) {
+	a := []string{"1950", "alice", "france", "painter", "paris", "smith"}
+	b := []string{"1950", "alicia", "artist", "paris", "smith"}
+	for name, kernel := range map[string]func(a, b []string) float64{
+		"jaccard": JaccardSorted,
+		"overlap": OverlapSorted,
+	} {
+		if n := testing.AllocsPerRun(100, func() { benchSink = kernel(a, b) }); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, n)
+		}
+	}
+}
+
 func TestIntersectSortedSize(t *testing.T) {
 	if got := IntersectSortedSize([]string{"a", "c", "e"}, []string{"b", "c", "e", "f"}); got != 2 {
 		t.Fatalf("IntersectSortedSize = %d", got)

@@ -20,9 +20,9 @@ const (
 )
 
 // Profiler converts descriptions to token sets under a fixed configuration,
-// caching nothing: profiling is cheap relative to the downstream quadratic
-// work and callers that need caching layer it themselves (see package
-// index).
+// caching nothing: callers that compare the same record many times profile
+// it once themselves, as the matching executors do with their per-call
+// sorted token rows.
 type Profiler struct {
 	Scheme    Scheme
 	Stopwords Stopwords
