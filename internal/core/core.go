@@ -11,8 +11,9 @@
 // RunWorkers is the one phase sequencer, with worker pools of a chosen
 // size: blocking shards the entity collection across workers into
 // per-shard inverted indexes merged in ID order (blocking.BuildSharded);
-// meta-blocking shards the edge-weight accumulation over the block list
-// (metablocking.BuildGraphParallel); matching fans comparisons out to a
+// meta-blocking weighs and prunes the blocking graph record by record,
+// the workers claiming ranges of records
+// (metablocking.RestructureParallel); matching fans comparisons out to a
 // worker pool fed by a streaming blocking.CompareIterator, so the
 // distinct-pair list is never materialized; progressive runs execute
 // wave-synchronously under an exact comparison budget
@@ -21,11 +22,7 @@
 //
 // The result is deterministic in the worker count: for a fixed
 // configuration and collection, every worker count produces the same match
-// set, comparison count and block collection. One documented exception:
-// ARCS-weighted meta-blocking accumulates floating-point weights in a
-// partition-dependent order, so its weights — and, on exact
-// pruning-threshold ties, the surviving edges — can differ across worker
-// counts (see metablocking.BuildGraphParallel).
+// set, comparison count and block collection.
 package core
 
 import (

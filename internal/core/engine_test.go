@@ -66,6 +66,10 @@ func TestEngineWorkerSweep(t *testing.T) {
 		{"batch-filtered-ECBS-WEP", batchConfig()},
 		{"batch-CBS-WNP", Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m,
 			Meta: &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WNP}}},
+		{"batch-ARCS-WNP", Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m,
+			Meta: &metablocking.MetaBlocker{Weight: metablocking.ARCS, Prune: metablocking.WNP}}},
+		{"batch-EJS-CNP-R", Pipeline{Blocker: &blocking.TokenBlocking{}, Matcher: m,
+			Meta: &metablocking.MetaBlocker{Weight: metablocking.EJS, Prune: metablocking.CNP, Reciprocal: true}}},
 		{"batch-sorted-neighborhood", Pipeline{Blocker: &blocking.SortedNeighborhood{Window: 5}, Matcher: m}},
 		{"progressive-static", progressiveCfg(func(_ *entity.Collection, bs *blocking.Blocks) progressive.Scheduler {
 			return progressive.NewStaticOrder(bs)

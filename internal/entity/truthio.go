@@ -2,8 +2,10 @@ package entity
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,7 +56,12 @@ func ReadURIMatches(c *Collection, r io.Reader) (*Matches, error) {
 // synthetic urn:entityres:<id> name, mirroring the N-Triples writer.
 func WriteURIMatches(w io.Writer, c *Collection, m *Matches) error {
 	pairs := m.Pairs()
-	sortPairsByID(pairs)
+	slices.SortFunc(pairs, func(x, y Pair) int {
+		if x.A != y.A {
+			return cmp.Compare(x.A, y.A)
+		}
+		return cmp.Compare(x.B, y.B)
+	})
 	bw := bufio.NewWriter(w)
 	for _, p := range pairs {
 		ua, ub := uriOf(c, p.A), uriOf(c, p.B)
@@ -98,19 +105,4 @@ func uriOf(c *Collection, id ID) string {
 		return d.URI
 	}
 	return fmt.Sprintf("urn:entityres:%d", id)
-}
-
-func sortPairsByID(ps []Pair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func less(a, b Pair) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
 }

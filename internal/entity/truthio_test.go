@@ -2,6 +2,10 @@ package entity
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -120,4 +124,57 @@ func MustID(t *testing.T, c *Collection, d *Description) ID {
 		t.Fatal(err)
 	}
 	return id
+}
+
+// shuffledMatches returns a collection of n descriptions with URIs and a
+// match set of pairs over it, inserted in shuffled order.
+func shuffledMatches(n, pairs int, seed int64) (*Collection, *Matches) {
+	c := NewCollection(Dirty)
+	for i := 0; i < n; i++ {
+		uri := fmt.Sprintf("http://kb/%d", i)
+		if i%7 == 0 {
+			uri = "" // synthetic urn:entityres:<id> name
+		}
+		c.MustAdd(NewDescription(uri))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMatches()
+	for m.Len() < pairs {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b {
+			m.Add(a, b)
+		}
+	}
+	return c, m
+}
+
+// TestWriteURIMatchesLargeShuffled: 20 k pairs inserted in random order
+// render byte-identically to an independently sorted reference.
+func TestWriteURIMatchesLargeShuffled(t *testing.T) {
+	c, m := shuffledMatches(5000, 20000, 7)
+	pairs := m.Pairs()
+	sort.Slice(pairs, func(i, j int) bool {
+		return pairs[i].A < pairs[j].A || (pairs[i].A == pairs[j].A && pairs[i].B < pairs[j].B)
+	})
+	var want strings.Builder
+	for _, p := range pairs {
+		fmt.Fprintf(&want, "%s\t%s\n", uriOf(c, p.A), uriOf(c, p.B))
+	}
+	var got bytes.Buffer
+	if err := WriteURIMatches(&got, c, m); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("rendering differs from the sorted reference (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+func BenchmarkWriteURIMatches(b *testing.B) {
+	c, m := shuffledMatches(20000, 100000, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := WriteURIMatches(io.Discard, c, m); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -84,9 +84,10 @@ type partial struct {
 //  3. EJS only: a degree-counting job over the distinct edges.
 //
 // Weights are then computed per edge from the aggregates. The result
-// equals metablocking.BuildGraph. metablocking.BuildGraphParallel is the
-// in-process counterpart core.Pipeline uses; a weighting-semantics
-// change in either place must be mirrored in the other.
+// equals metablocking.BuildGraph. The node-centric kernel behind
+// metablocking.RestructureParallel is the in-process counterpart
+// core.Pipeline uses; a weighting-semantics change in either place must be
+// mirrored in the other.
 func ParallelBuildGraph(bs *blocking.Blocks, scheme metablocking.WeightScheme, workers int) (*graph.Graph, error) {
 	kind := bs.Kind()
 	blockInputs := make([]any, 0, bs.Len())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"entityres/internal/blocking"
+	"entityres/internal/blockproc"
 	"entityres/internal/datagen"
 )
 
@@ -44,6 +45,32 @@ func BenchmarkPrune(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.PruneGraph(g, bs)
+			}
+		})
+	}
+}
+
+// BenchmarkRestructure measures batch meta-blocking end to end (entity
+// index, weighting, pruning, emission) on a dirty collection shaped like
+// the interlink-meta workload: heavy corruption, token blocking, a 20000
+// comparison purge and block filtering.
+func BenchmarkRestructure(b *testing.B) {
+	heavy := datagen.HeavyCorruption()
+	c, _, err := datagen.GenerateDirty(datagen.Config{Seed: 42, Entities: 3200, DupRatio: 0.5,
+		MaxDuplicates: 2, SchemaNoise: 0.5, Corruption: &heavy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs, err := (&blocking.TokenBlocking{}).Block(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs = blockproc.Chain{&blockproc.MaxComparisonsPurge{Max: 20000}, &blockproc.BlockFiltering{}}.Process(bs)
+	for _, m := range []*MetaBlocker{{Weight: ECBS, Prune: WNP}, {Weight: CBS, Prune: WEP}, {Weight: ARCS, Prune: CNP}} {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Restructure(c, bs)
 			}
 		})
 	}

@@ -21,8 +21,10 @@
 package metablocking
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // weightScaleBits is the fixed-point scale: every finite non-negative
@@ -105,4 +107,59 @@ func (s *exactSum) keepAtLeastMean(w, thr float64, n int) bool {
 		return false
 	}
 	return s.atLeastMean(w, n)
+}
+
+// addSum folds another exact sum into s; the result is the exact sum of
+// both multisets, whatever the order of the folds.
+func (s *exactSum) addSum(o *exactSum) { s.acc.Add(&s.acc, &o.acc) }
+
+// fixedLimbs covers the largest finite float64 at the fixed-point scale,
+// 2^(1024+weightScaleBits), with 64 bits of headroom for carries.
+const fixedLimbs = (1024+weightScaleBits)/64 + 2
+
+// fixedSum is exactSum's fixed point held in 64-bit limbs, for hot loops:
+// adding a weight touches two limbs plus any carry, with no big
+// arithmetic. The zero value is an empty sum; flush hands the sum to an
+// exactSum. Like exactSum, it takes finite non-negative weights.
+type fixedSum struct {
+	limb [fixedLimbs]uint64
+	// lo and hi bound the limbs in use, limb[lo:hi]; hi == 0 when empty.
+	lo, hi int
+}
+
+// Add folds w into the sum.
+func (f *fixedSum) Add(w float64) {
+	if w == 0 {
+		return
+	}
+	fr, exp := math.Frexp(w)
+	m := uint64(fr * (1 << 53))
+	shift := exp - 53 + weightScaleBits
+	i, off := shift/64, uint(shift%64)
+	var c uint64
+	f.limb[i], c = bits.Add64(f.limb[i], m<<off, 0)
+	f.limb[i+1], c = bits.Add64(f.limb[i+1], m>>(64-off), c)
+	j := i + 2
+	for ; c != 0; j++ {
+		f.limb[j], c = bits.Add64(f.limb[j], 0, c)
+	}
+	if f.hi == 0 {
+		f.lo, f.hi = i, j
+	} else {
+		f.lo, f.hi = min(f.lo, i), max(f.hi, j)
+	}
+}
+
+// flush sets dst to the sum and empties f.
+func (f *fixedSum) flush(dst *exactSum) {
+	var buf [8 * fixedLimbs]byte
+	n := 0
+	for j := f.hi - 1; j >= f.lo; j-- {
+		binary.BigEndian.PutUint64(buf[n:], f.limb[j])
+		f.limb[j] = 0
+		n += 8
+	}
+	dst.acc.SetBytes(buf[:n])
+	dst.acc.Lsh(&dst.acc, uint(64*f.lo))
+	f.lo, f.hi = 0, 0
 }

@@ -10,18 +10,28 @@
 // schemes (WEP, CEP, WNP, CNP, plus reciprocal node-centric variants)
 // reproduce the design space the paper surveys.
 //
-// The co-occurrence statistics behind every scheme live in WeightedGraph,
-// a core maintained either by batch accumulation over a finished block
-// collection (BuildGraph, BuildGraphParallel) or by per-document deltas
-// under a stream of inserts, updates and deletes (AddDocument /
-// RemoveDocument, driven by blocking.BlockIndex membership notifications)
-// — the incremental regime the streaming resolver uses for live WEP/WNP
-// pruning of its comparison frontiers.
+// Batch restructuring (Restructure, RestructureParallel) is node-centric
+// and never materializes the graph: a CSR entity index lists every
+// record's blocks, one flat counter array per worker accumulates a
+// record's whole neighbourhood, and each pruning scheme decides an edge
+// from per-record figures gathered in an earlier pass (kernel.go).
+//
+// The materialized graph remains for everything else. Its co-occurrence
+// statistics live in WeightedGraph, a core maintained either by batch
+// accumulation over a finished block collection (BuildGraph, FromBlocks)
+// or by per-document deltas under a stream of inserts, updates and deletes
+// (AddDocument / RemoveDocument, driven by blocking.BlockIndex membership
+// notifications) — the incremental regime the streaming resolver uses for
+// live WEP/WNP pruning of its comparison frontiers. PruneGraph over
+// BuildGraph is the reference the batch kernel is tested against.
 package metablocking
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"entityres/internal/blocking"
 	"entityres/internal/entity"
@@ -147,18 +157,12 @@ func js(cbs, ba, bb int) float64 {
 	return float64(cbs) / float64(union)
 }
 
-// Restructure builds the weighted graph of bs, prunes it, and returns the
+// Restructure weighs the blocking graph of bs, prunes it, and returns the
 // surviving edges as a collection of two-description blocks ordered by
 // descending weight (strongest candidates first — the order progressive
-// schedulers rely on).
+// schedulers rely on). It is RestructureParallel at one worker.
 func (m *MetaBlocker) Restructure(c *entity.Collection, bs *blocking.Blocks) *blocking.Blocks {
-	return m.restructure(c, bs, BuildGraph(bs, m.Weight))
-}
-
-// restructure prunes g and emits the surviving edges as weight-ordered
-// two-description blocks; shared by Restructure and RestructureParallel.
-func (m *MetaBlocker) restructure(c *entity.Collection, bs *blocking.Blocks, g *graph.Graph) *blocking.Blocks {
-	return EmitKept(c, bs.Kind(), m.PruneGraph(g, bs))
+	return m.RestructureParallel(c, bs, 1)
 }
 
 // EmitKept renders retained edges as a collection of two-description
@@ -169,28 +173,53 @@ func (m *MetaBlocker) restructure(c *entity.Collection, bs *blocking.Blocks, g *
 // the two render identical collections from identical kept edges. The
 // kept slice is reordered in place.
 func EmitKept(c *entity.Collection, kind entity.Kind, kept []graph.Edge) *blocking.Blocks {
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Weight != kept[j].Weight {
-			return kept[i].Weight > kept[j].Weight
-		}
-		if kept[i].A != kept[j].A {
-			return kept[i].A < kept[j].A
-		}
-		return kept[i].B < kept[j].B
-	})
+	slices.SortFunc(kept, edgeOrder)
+	// The keys are cut from one builder's buffer, and the blocks and their
+	// members share one backing array each.
+	var keys strings.Builder
+	keys.Grow(18 * len(kept))
+	var digits [2*20 + 6]byte
+	blocks := make([]blocking.Block, len(kept))
+	ids := make([]entity.ID, 2*len(kept))
 	out := blocking.NewBlocks(kind)
-	for _, e := range kept {
-		b := &blocking.Block{Key: fmt.Sprintf("meta:%d-%d", e.A, e.B)}
-		for _, id := range []entity.ID{e.A, e.B} {
-			if c.Get(id) != nil && c.Get(id).Source == 1 {
-				b.S1 = append(b.S1, id)
-			} else {
-				b.S0 = append(b.S0, id)
-			}
+	for k, e := range kept {
+		key := append(digits[:0], "meta:"...)
+		key = strconv.AppendInt(key, int64(e.A), 10)
+		key = append(key, '-')
+		key = strconv.AppendInt(key, int64(e.B), 10)
+		start := keys.Len()
+		keys.Write(key)
+		b := &blocks[k]
+		b.Key = keys.String()[start:]
+		// S0 members come first, then S1 members, each side in A, B order.
+		pair := ids[2*k : 2*k+2 : 2*k+2]
+		a1, b1 := inS1(c, e.A), inS1(c, e.B)
+		pair[0], pair[1] = e.A, e.B
+		if a1 && !b1 {
+			pair[0], pair[1] = e.B, e.A
+		}
+		n0 := 2
+		if a1 {
+			n0--
+		}
+		if b1 {
+			n0--
+		}
+		if n0 > 0 {
+			b.S0 = pair[:n0:n0]
+		}
+		if n0 < 2 {
+			b.S1 = pair[n0:]
 		}
 		out.Add(b)
 	}
 	return out
+}
+
+// inS1 reports whether id is a description of the second source.
+func inS1(c *entity.Collection, id entity.ID) bool {
+	d := c.Get(id)
+	return d != nil && d.Source == 1
 }
 
 // PruneGraph applies the configured pruning scheme and returns the
@@ -200,49 +229,41 @@ func (m *MetaBlocker) PruneGraph(g *graph.Graph, bs *blocking.Blocks) []graph.Ed
 	case WEP:
 		return pruneWEP(g)
 	case CEP:
-		return pruneCEP(g, m.cepBudget(bs))
+		return pruneCEP(g, m.cepBudget(assignments(bs)))
 	case WNP:
 		return pruneWNP(g, m.Reciprocal)
 	case CNP:
-		return pruneCNP(g, cnpK(bs, g), m.Reciprocal)
+		return pruneCNP(g, cnpK(assignments(bs), g.NumNodes()), m.Reciprocal)
 	default:
 		return g.Edges()
 	}
 }
 
+// assignments returns the total block assignments of bs: Σ |b|.
+func assignments(bs *blocking.Blocks) int {
+	n := 0
+	for _, b := range bs.All() {
+		n += b.Size()
+	}
+	return n
+}
+
 // cepBudget returns the CEP retention budget: K override, else half the
 // total block assignments (the budget used in [22]).
-func (m *MetaBlocker) cepBudget(bs *blocking.Blocks) int {
+func (m *MetaBlocker) cepBudget(assignments int) int {
 	if m.K > 0 {
 		return m.K
 	}
-	assignments := 0
-	for _, b := range bs.All() {
-		assignments += b.Size()
-	}
-	k := assignments / 2
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, assignments/2)
 }
 
 // cnpK distributes the CEP budget over the graph nodes: each node retains
 // its top-k neighbors with k = max(1, ⌊assignments/|V|⌋).
-func cnpK(bs *blocking.Blocks, g *graph.Graph) int {
-	nodes := g.NumNodes()
+func cnpK(assignments, nodes int) int {
 	if nodes == 0 {
 		return 1
 	}
-	assignments := 0
-	for _, b := range bs.All() {
-		assignments += b.Size()
-	}
-	k := assignments / nodes
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(1, assignments/nodes)
 }
 
 func pruneWEP(g *graph.Graph) []graph.Edge {

@@ -21,7 +21,7 @@ type stats struct {
 // that produce identical counts for the same live membership:
 //
 //   - batch accumulation (FromBlocks / AccumulateBlock / Merge), one whole
-//     block at a time — the regime of BuildGraph and BuildGraphParallel;
+//     block at a time — the regime of BuildGraph;
 //   - per-document deltas (AddDocument / RemoveDocument), keyed off
 //     blocking.BlockIndex membership changes — the regime of the streaming
 //     resolver, which registers the graph as a membership observer so every
@@ -46,8 +46,8 @@ type stats struct {
 // it comparison-free.
 //
 // A WeightedGraph is not safe for concurrent mutation; the streaming
-// resolver serializes operations, and the parallel batch build merges
-// shard-local graphs.
+// resolver serializes operations. Batch restructuring does not build one
+// at all: RestructureParallel derives the same statistics node by node.
 type WeightedGraph struct {
 	kind      entity.Kind
 	pairs     map[entity.Pair]*stats
@@ -114,8 +114,7 @@ func (wg *WeightedGraph) EachPair(fn func(p entity.Pair, cbs int) bool) {
 // AccumulateBlock folds one whole block into the statistics: every member
 // is credited with a block appearance and every suggested comparison bumps
 // its pair's common-block count and reciprocal comparison mass. This is
-// the batch accumulation step shared by the sequential and sharded graph
-// builds.
+// the batch accumulation step of FromBlocks.
 func (wg *WeightedGraph) AccumulateBlock(b *blocking.Block) {
 	comp := b.Comparisons(wg.kind)
 	wg.addBlocks(1)
@@ -133,9 +132,9 @@ func (wg *WeightedGraph) AccumulateBlock(b *blocking.Block) {
 	})
 }
 
-// Merge folds another graph's statistics into wg. The sharded batch build
-// merges shard partials in ascending shard (= block) order, so the
-// floating-point ARCS masses sum in a deterministic order.
+// Merge folds another graph's statistics into wg. ARCS masses add in the
+// order of the merges, so partials merged in block order sum
+// deterministically.
 func (wg *WeightedGraph) Merge(o *WeightedGraph) {
 	if o.numBlocks != 0 {
 		wg.addBlocks(o.numBlocks)
