@@ -1,8 +1,8 @@
 // Package entityres hosts the benchmark harness that regenerates every
-// experiment table of the reproduction (DESIGN.md §3, EXPERIMENTS.md): one
-// benchmark per experiment, each reporting its headline metrics through
-// testing.B.ReportMetric so `go test -bench=. -benchmem` reproduces the
-// numbers recorded in EXPERIMENTS.md. The experiment implementations live
+// experiment table of the reproduction (the E1–E12 suite; see "Repository
+// layout" in README.md): one benchmark per experiment, each reporting its
+// headline metrics through testing.B.ReportMetric so `go test -bench=.
+// -benchmem` reproduces the numbers. The experiment implementations live
 // in internal/experiments and are shared with cmd/erbench.
 package entityres
 

@@ -1,5 +1,5 @@
 // Command erbench runs the reproduction experiment suite E1–E12 (see
-// DESIGN.md §3) and prints the result tables that EXPERIMENTS.md records.
+// internal/experiments) and prints its result tables.
 // With -parallel it instead runs the batch pipeline at one worker and at
 // -workers on a synthetic workload and prints the per-phase comparison.
 // With -streaming-meta it replays a synthetic insert stream through the

@@ -1,10 +1,9 @@
-// Package experiments implements the reproduction experiment suite E1–E12
-// defined in DESIGN.md: each experiment regenerates the canonical result
-// shape of one system family the paper surveys, returning a printable
-// table plus the headline metrics that the benchmark harness reports and
-// EXPERIMENTS.md records. Both cmd/erbench and the root bench_test.go are
-// thin wrappers over this package, so the printed tables and the measured
-// benchmarks can never drift apart.
+// Package experiments implements the reproduction experiment suite
+// E1–E12: each experiment regenerates the canonical result shape of one
+// system family the paper surveys, returning a printable table plus the
+// headline metrics that the benchmark harness reports. Both cmd/erbench
+// and the root bench_test.go are thin wrappers over this package, so the
+// printed tables and the measured benchmarks can never drift apart.
 package experiments
 
 import (

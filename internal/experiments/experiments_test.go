@@ -32,8 +32,8 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 // The shape assertions below encode the expected qualitative results from
-// the surveyed papers (see DESIGN.md §3 and EXPERIMENTS.md); they are the
-// reproduction criteria, not just smoke tests.
+// the surveyed papers; they are the reproduction criteria, not just smoke
+// tests.
 
 func TestE1Shape(t *testing.T) {
 	res, err := E1BlockingMethods(Small, seed)
@@ -76,7 +76,7 @@ func TestE2Shape(t *testing.T) {
 	}
 	// Filtering trades a modest PC share for the further cut; on the short
 	// token profiles of this generator the cost is higher than on the rich
-	// profiles of the original paper (see EXPERIMENTS.md).
+	// profiles of the original paper.
 	if m["+ block filtering_PC"] < m["raw token blocking_PC"]-0.15 {
 		t.Fatalf("PC lost too much: %v → %v",
 			m["raw token blocking_PC"], m["+ block filtering_PC"])

@@ -360,7 +360,11 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := r.restoreSnapshot(full); err != nil {
+		im, err := DecodeImage(full)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.restore(im); err != nil {
 			return nil, err
 		}
 		for i := len(deltas) - 1; i >= 0; i-- {
@@ -497,7 +501,7 @@ func (r *Resolver) maybeCompact() error {
 // compactLocked checkpoints the resolver through the journal: a full
 // snapshot of its state. Callers hold r.mu.
 func (r *Resolver) compactLocked() error {
-	payload, slots, pairs, err := r.encodeSnapshot()
+	payload, slots, err := r.encodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("incremental: encoding snapshot: %w", err)
 	}
@@ -506,7 +510,6 @@ func (r *Resolver) compactLocked() error {
 	}
 	r.perf.FullSnapshots++
 	r.perf.SnapshotSlots += int64(slots)
-	r.perf.SnapshotPairs += int64(pairs)
 	r.sinceSnap = 0
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -397,10 +398,27 @@ func TestRecoveryWithLiveMetaBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
+	// The checkpoint does not store the weighted blocking graph: restore
+	// re-derives it from the restored membership, statistic for statistic.
+	if g, w := mergedWeighted(t, got), mergedWeighted(t, r); !reflect.DeepEqual(g, w) {
+		t.Fatalf("reopened weighted statistics diverge from the original's:\ngot  %d blocks, %d pairs\nwant %d blocks, %d pairs",
+			g.NumBlocks(), g.NumPairs(), w.NumBlocks(), w.NumPairs())
+	}
 	assertSameResolverState(t, got, mem)
 	if g, w := renderBlocks(mustRestructuredBlocks(t, got)), renderBlocks(mustRestructuredBlocks(t, mem)); g != w {
 		t.Fatalf("restructured blocks diverge:\ngot  %s\nwant %s", g, w)
 	}
+}
+
+// mergedWeighted folds r's weighted blocking graph into an empty one, so
+// two resolvers' statistics compare with reflect.DeepEqual.
+func mergedWeighted(t *testing.T, r *incremental.Resolver) *metablocking.WeightedGraph {
+	t.Helper()
+	wg := metablocking.NewWeightedGraph(r.Kind())
+	if !r.MergeWeightedInto(wg) {
+		t.Fatal("resolver maintains no weighted blocking graph")
+	}
+	return wg
 }
 
 // TestSnapshotFileCorruptionDetected: a flipped byte in the snapshot fails
@@ -572,46 +590,72 @@ func TestCancelledUpdateRollsBackCompletely(t *testing.T) {
 
 // TestMalformedSnapshotFailsRecovery: snapshots that frame correctly but
 // cannot restore — wrong format version, wrong kind, invalid slots, match
-// edges into dead slots, a meta configuration without its weighted graph —
-// fail recovery loudly.
+// edges into dead slots, kept or cached pairs outside the slot space or
+// pairing a slot with itself — fail recovery loudly. A kept pair naming a
+// dead slot is legal (a delete since the last reconcile leaves one behind)
+// and restores.
 func TestMalformedSnapshotFailsRecovery(t *testing.T) {
 	blockerNm := (&blocking.TokenBlocking{}).Name()
 	matcherNm := (&matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}).Name()
 	head := fmt.Sprintf(`"blocker":%q,"matcher":%q`, blockerNm, matcherNm)
 	stats := `"stats":{"inserts":1,"updates":0,"deletes":0,"comparisons":0}`
+	meta := &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}
+	metaImage := func(tail string) string {
+		return fmt.Sprintf(`{"format":1,"kind":0,%s,"meta":%q,"slots":[{"live":true,"uri":"u:a"},{}],%s,%s}`, head, meta.Name(), stats, tail)
+	}
 	cases := map[string]string{
-		"bad json":     `{`,
-		"bad format":   `{"format":99}`,
-		"wrong kind":   fmt.Sprintf(`{"format":1,"kind":1,%s,%s}`, head, stats),
-		"dead match":   fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"}],"matches":[[0,1]],%s}`, head, stats),
-		"bad source":   fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a","source":7}],%s}`, head, stats),
-		"dup uri":      fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"},{"live":true,"uri":"u:a"}],%s}`, head, stats),
-		"meta missing": fmt.Sprintf(`{"format":1,"kind":0,%s,"meta":"meta(CBS,WEP)",%s}`, head, stats),
+		"bad json":            `{`,
+		"bad format":          `{"format":99}`,
+		"wrong kind":          fmt.Sprintf(`{"format":1,"kind":1,%s,%s}`, head, stats),
+		"dead match":          fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"}],"matches":[[0,1]],%s}`, head, stats),
+		"bad source":          fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a","source":7}],%s}`, head, stats),
+		"dup uri":             fmt.Sprintf(`{"format":1,"kind":0,%s,"slots":[{"live":true,"uri":"u:a"},{"live":true,"uri":"u:a"}],%s}`, head, stats),
+		"kept out of range":   metaImage(`"last_kept":[{"a":0,"b":99,"w":1}]`),
+		"kept self-pair":      metaImage(`"last_kept":[{"a":0,"b":0,"w":1}]`),
+		"cached out of range": metaImage(`"sim_cache":[{"a":-1,"b":0}]`),
+		"cached self-pair":    metaImage(`"sim_cache":[{"a":0,"b":0,"match":true}]`),
+	}
+	// rewrite replaces the only snapshot of a fresh directory with payload
+	// and reopens it.
+	rewrite := func(t *testing.T, cfg incremental.Config, payload string) error {
+		t.Helper()
+		dir := t.TempDir()
+		r, err := incremental.OpenResolver(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files = %v (%v)", snaps, err)
+		}
+		if err := wal.WriteFileAtomic(snaps[0], []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		re, err := incremental.OpenResolver(dir, cfg)
+		if err == nil {
+			re.Close()
+		}
+		return err
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
 			cfg := durableConfig()
-			if name == "meta missing" {
-				cfg.Meta = &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}
+			if strings.HasPrefix(name, "kept") || strings.HasPrefix(name, "cached") {
+				cfg.Meta = meta
 			}
-			r, err := incremental.OpenResolver(dir, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-			if err != nil || len(snaps) != 1 {
-				t.Fatalf("snapshot files = %v (%v)", snaps, err)
-			}
-			if err := wal.WriteFileAtomic(snaps[0], []byte(payload)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := incremental.OpenResolver(dir, cfg); err == nil {
+			if err := rewrite(t, cfg, payload); err == nil {
 				t.Fatalf("recovery accepted a %s snapshot", name)
 			}
 		})
 	}
+	t.Run("stale kept", func(t *testing.T) {
+		cfg := durableConfig()
+		cfg.Meta = meta
+		if err := rewrite(t, cfg, metaImage(`"last_kept":[{"a":0,"b":1,"w":1}],"meta_dirty":true`)); err != nil {
+			t.Fatalf("recovery refused a kept pair naming a dead slot: %v", err)
+		}
+	})
 }

@@ -45,7 +45,7 @@ type deltaSnapshotJSON struct {
 	Slots     []deltaSlotJSON `json:"slots,omitempty"`
 	Matches   []edgeDeltaJSON `json:"matches,omitempty"`
 
-	Stats      statsJSON   `json:"stats"`
+	Stats      ImageStats  `json:"stats"`
 	LastRecord *recordJSON `json:"last_record,omitempty"`
 	LastSeq    uint64      `json:"last_seq,omitempty"`
 
@@ -55,10 +55,10 @@ type deltaSnapshotJSON struct {
 }
 
 // deltaSlotJSON is one dirty collection slot: its handle plus the same
-// current-state fields a full snapshot stores per slot.
+// current-state fields an image stores per slot.
 type deltaSlotJSON struct {
 	ID int `json:"id"`
-	slotJSON
+	ImageSlot
 }
 
 type edgeDeltaJSON struct {
@@ -82,7 +82,7 @@ type keptDeltaJSON struct {
 }
 
 // applyDeltaSnapshot advances a restored resolver by one chain link. Called
-// by OpenResolver after restoreSnapshot, on an unpublished resolver whose
+// by OpenResolver after restore, on an unpublished resolver whose
 // weighted graph already observes the block index: the slot transitions
 // below keep its statistics current exactly as the original operations did.
 func (r *Resolver) applyDeltaSnapshot(payload []byte) error {
@@ -93,17 +93,8 @@ func (r *Resolver) applyDeltaSnapshot(payload []byte) error {
 	if s.Format != deltaSnapshotFormat {
 		return fmt.Errorf("incremental: delta snapshot format %d is not supported (want %d)", s.Format, deltaSnapshotFormat)
 	}
-	if entity.Kind(s.Kind) != r.cfg.Kind {
-		return fmt.Errorf("incremental: delta snapshot resolves %v collections, resolver configured for %v", entity.Kind(s.Kind), r.cfg.Kind)
-	}
-	if s.Blocker != r.cfg.Blocker.Name() {
-		return fmt.Errorf("incremental: delta snapshot was written under blocker %q, resolver configured with %q", s.Blocker, r.cfg.Blocker.Name())
-	}
-	if s.Matcher != r.cfg.Matcher.Name() {
-		return fmt.Errorf("incremental: delta snapshot was written under matcher %q, resolver configured with %q", s.Matcher, r.cfg.Matcher.Name())
-	}
-	if meta := r.fingerprintMeta(); s.Meta != meta {
-		return fmt.Errorf("incremental: delta snapshot was written under meta-blocking %q, resolver configured with %q", s.Meta, meta)
+	if err := r.checkFingerprint(s.Kind, s.Blocker, s.Matcher, s.Meta); err != nil {
+		return err
 	}
 
 	// Dirty slots, handle-ascending. New slots (id == current length) are

@@ -1,12 +1,14 @@
 package incremental_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,27 +26,33 @@ import (
 // directories, written by such a release from generateScript streams (a
 // token-blocking resolver, and the same under JS/WEP meta-blocking) with
 // SnapshotEvery 10, hard-stopped after legacyOps operations with a WAL tail
-// behind the chain tip. The tests reopen copies of them: the chain restores
-// bit-exactly, the first checkpoint collapses it into one full snapshot, a
-// crash anywhere in that transition recovers, repeated crashes recover, and
-// a missing link fails
-// loudly. The fixtures cannot be regenerated (no writer remains), so
-// generateScript and pool must keep producing the same streams for these
-// seeds.
+// behind the chain tip. testdata/full-meta-v1 is the same meta stream shape
+// written by a release whose full snapshots still stored the weighted
+// blocking graph ("weighted") beside the decision cache and kept pairs:
+// one such snapshot plus a WAL tail. The tests reopen copies of them: the
+// chain or snapshot restores bit-exactly (the weighted graph re-derived
+// from the restored membership), the first checkpoint collapses it into
+// one full snapshot, a crash anywhere in that transition recovers,
+// repeated crashes recover, and a missing link fails loudly. The fixtures
+// cannot be regenerated (no writer remains), so generateScript and pool
+// must keep producing the same streams for these seeds.
 
 // legacyOps is how many script operations the fixtures hold;
 // legacyScriptOps how many the tests run in total.
 const legacyOps, legacyScriptOps = 83, 110
 
 type legacyFixture struct {
-	name string
-	seed int64
-	meta *metablocking.MetaBlocker
+	name, dir string
+	seed      int64
+	meta      *metablocking.MetaBlocker
+	// chain marks a delta-chain fixture; the others hold one full snapshot.
+	chain bool
 }
 
 var legacyFixtures = []legacyFixture{
-	{name: "dirty", seed: 66},
-	{name: "meta", seed: 67, meta: &metablocking.MetaBlocker{Weight: metablocking.JS, Prune: metablocking.WEP}},
+	{name: "dirty", dir: "legacy-chain-dirty", seed: 66, chain: true},
+	{name: "meta", dir: "legacy-chain-meta", seed: 67, chain: true, meta: &metablocking.MetaBlocker{Weight: metablocking.JS, Prune: metablocking.WEP}},
+	{name: "full-meta", dir: "full-meta-v1", seed: 68, meta: &metablocking.MetaBlocker{Weight: metablocking.JS, Prune: metablocking.WEP}},
 }
 
 func (fx legacyFixture) config() incremental.Config {
@@ -64,7 +72,7 @@ func (fx legacyFixture) script(t *testing.T) []incremental.Op {
 // to testdata.
 func (fx legacyFixture) copyDir(t *testing.T) string {
 	t.Helper()
-	src := filepath.Join("testdata", "legacy-chain-"+fx.name)
+	src := filepath.Join("testdata", fx.dir)
 	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -135,19 +143,45 @@ func snapshotFormats(t *testing.T, dir string) []int {
 	return formats
 }
 
-// TestDeltaChainRetentionAndRebase: a legacy chain reopens to exactly the
-// state its stream built (meta-blocking's weighted graph re-derived from the
-// restored membership included), stays on disk until the first checkpoint,
-// and that checkpoint rebases it into one full snapshot that reopens to the
-// same state as an uninterrupted run.
+// storesWeighted reports whether dir's snapshot still stores the weighted
+// blocking graph, as older releases wrote it.
+func storesWeighted(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot files = %v (%v)", files, err)
+	}
+	payload, err := wal.ReadFileFramed(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Weighted json.RawMessage `json:"weighted"`
+		SimCache json.RawMessage `json:"sim_cache"`
+		LastKept json.RawMessage `json:"last_kept"`
+	}
+	if err := json.Unmarshal(payload, &body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Weighted != nil && body.SimCache != nil && body.LastKept != nil
+}
+
+// TestDeltaChainRetentionAndRebase: a legacy chain or full snapshot reopens
+// to exactly the state its stream built (meta-blocking's weighted graph
+// re-derived from the restored membership included), stays on disk until
+// the first checkpoint, and that checkpoint rebases it into one full
+// snapshot that reopens to the same state as an uninterrupted run.
 func TestDeltaChainRetentionAndRebase(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			dir := fx.copyDir(t)
 			formats := snapshotFormats(t, dir)
-			if len(formats) < 3 || formats[0] != 1 || formats[len(formats)-1] != 2 {
+			if fx.chain && (len(formats) < 3 || formats[0] != 1 || formats[len(formats)-1] != 2) {
 				t.Fatalf("fixture is not a full anchor plus delta links: formats %v", formats)
+			}
+			if !fx.chain && (len(formats) != 1 || formats[0] != 1 || !storesWeighted(t, dir)) {
+				t.Fatalf("fixture is not one full snapshot storing the weighted graph: formats %v", formats)
 			}
 			script := fx.script(t)
 			r, err := incremental.OpenResolver(dir, fx.config())
@@ -162,6 +196,15 @@ func TestDeltaChainRetentionAndRebase(t *testing.T) {
 				t.Fatalf("fixture stream resolves no matches (%+v); it cannot pin the restored match state", st)
 			}
 			assertSameResolverState(t, r, ref)
+			if fx.meta != nil {
+				if g, w := mergedWeighted(t, r), mergedWeighted(t, ref); !reflect.DeepEqual(g, w) {
+					t.Fatalf("re-derived weighted statistics diverge: %d blocks, %d pairs; want %d, %d",
+						g.NumBlocks(), g.NumPairs(), w.NumBlocks(), w.NumPairs())
+				}
+				if g, w := renderBlocks(mustRestructuredBlocks(t, r)), renderBlocks(mustRestructuredBlocks(t, ref)); g != w {
+					t.Fatalf("restructured blocks diverge on reopen:\ngot  %s\nwant %s", g, w)
+				}
+			}
 			if got := snapshotFormats(t, dir); len(got) != len(formats) {
 				t.Fatalf("reopen rewrote the chain before any checkpoint: %v -> %v", formats, got)
 			}
@@ -291,5 +334,41 @@ func TestChainMissingLinkFailsLoudly(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "chain link") {
 		t.Fatalf("broken chain reported as %v, want a chain-link error", err)
+	}
+}
+
+// TestCheckpointGoldenBytes: a fixed non-meta op stream checkpoints to
+// exactly the bytes testdata/checkpoint-dirty-v1.json holds, written by a
+// release whose snapshots still stored the weighted blocking graph — so
+// dropping that graph left every non-meta checkpoint byte-identical.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint-dirty-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := legacyFixtures[0].config()
+	cfg.Durable = incremental.DurableOptions{SnapshotEvery: -1, NoSync: true}
+	dir := t.TempDir()
+	r, err := incremental.OpenResolver(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyLegacy(t, r, generateScript(t, entity.Dirty, 70, 80, opMixes[0]), 0, 80)
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot files: %v", err)
+	}
+	got, err := wal.ReadFileFramed(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint bytes diverge from the golden image:\ngot  %s\nwant %s", got, want)
 	}
 }

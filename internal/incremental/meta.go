@@ -53,11 +53,14 @@ type PerfCounters struct {
 	// ReconcileEvaluated counts matcher invocations spent inside
 	// reconciles (cache-missing re-fated pairs).
 	ReconcileEvaluated int64
-	// FullSnapshots counts checkpoint compactions; SnapshotSlots and
-	// SnapshotPairs the cumulative collection slots and weighted-graph
-	// pairs they serialized — the compaction-cost measure.
-	FullSnapshots                int64
-	SnapshotSlots, SnapshotPairs int64
+	// FullSnapshots counts checkpoint compactions; SnapshotSlots the
+	// cumulative collection slots they serialized — the compaction-cost
+	// measure.
+	FullSnapshots, SnapshotSlots int64
+	// SnapshotPairs is always zero: checkpoints no longer store the
+	// weighted blocking graph's pairs. The field stays only because the
+	// erbench baselines still gate it as snapshot_pairs.
+	SnapshotPairs int64
 	// DeltaSnapshots is always zero: every checkpoint writes a full
 	// snapshot. The field stays only because the benchmark ledger still
 	// reports it as wal.delta_snapshots.

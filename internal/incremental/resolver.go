@@ -21,8 +21,7 @@
 // and contents are unchanged by operations that touch neither endpoint.
 // Corpus-dependent matchers (TFIDFCosine) and collection-dependent blockers
 // are rejected by construction — their decisions shift with every arrival,
-// which is incompatible with incremental maintenance (see ROADMAP open
-// items for the re-weighting follow-on).
+// which is incompatible with incremental maintenance.
 //
 // With a MetaBlocker configured (stream-safe subset: WEP/WNP pruning of
 // CBS/ECBS/JS weights), the resolver additionally maintains the weighted

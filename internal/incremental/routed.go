@@ -35,10 +35,10 @@
 // the attributes. The routed update therefore carries the full description
 // and the shard MATERIALIZES the slot — content set, indexed, resolved
 // against its delta frontier — exactly as if it had owned the description
-// all along. Bootstrap (snapshot shipping) is the bulk form of the same
+// all along. Bootstrap (image shipping) is the bulk form of the same
 // idea: a shard that lost its disk receives its whole key-space projection
-// from the coordinator's replica as one state transfer instead of a
-// journal replay.
+// from the coordinator's replica as one state image instead of a journal
+// replay.
 package incremental
 
 import (
@@ -46,7 +46,6 @@ import (
 	"fmt"
 
 	"entityres/internal/entity"
-	"entityres/internal/graph"
 )
 
 // RoutedOp is one record of the routed operation stream a networked
@@ -311,49 +310,17 @@ func (r *Resolver) MatchedWith(id entity.ID) ([]entity.ID, error) {
 	return r.dyn.Graph().Neighbors(id), nil
 }
 
-// BootstrapSlot is one collection slot of a shipped shard state: the
-// shard-local projection of the coordinator's replica. Live slots carry
-// the description and its OWNED blocking keys (distinct, ascending);
-// placeholder and dead slots are content-free.
-type BootstrapSlot struct {
-	Live   bool
-	URI    string
-	Source int
-	Attrs  []entity.Attribute
-	// Keys is the slot's owned blocking key set, exactly as the shard's
-	// lens keyer would derive it — restore feeds it straight into the block
-	// index without re-tokenizing.
-	Keys []string
-}
-
-// BootstrapState is the full state transfer a coordinator ships a shard
-// that cannot catch up from its own journal — typically one that lost its
-// disk. It is the routed-stream analogue of a snapshot restore: slots,
-// shard-owned match edges, counters and the acknowledged sequence number.
-type BootstrapState struct {
-	Slots []BootstrapSlot
-	// Edges is the shard-owned slice of the global match graph: every edge
-	// whose first shared blocking key this shard owns.
-	Edges []graph.Edge
-	// Inserts, Updates, Deletes mirror the global stream counters;
-	// Comparisons is this shard's cumulative matcher-invocation count as
-	// the coordinator last acknowledged it.
-	Inserts, Updates, Deletes, Comparisons int64
-	// Seq is the sequence number the shipped state is current through.
-	Seq uint64
-	// MetaDirty marks deferred meta-blocking work (live descriptions exist
-	// whose pruning fate the next reconcile settles).
-	MetaDirty bool
-}
-
-// Bootstrap loads a shipped shard state into a pristine resolver — one
-// that has applied no operations — rebuilding the collection, block index,
-// match graph and, under meta-blocking, the weighted blocking graph (by
-// observing the index rebuild, which reproduces the incrementally
-// maintained statistics exactly: they are pure functions of the final
-// membership). A durable resolver checkpoints immediately afterwards, so
+// Bootstrap loads a shipped image into a pristine resolver — one that has
+// applied no operations. It is the state transfer a networked coordinator
+// ships a shard that cannot catch up from its own journal (typically one
+// that lost its disk): the shard's key-space projection of the
+// coordinator's replica, restored through the same path as a checkpoint.
+// Under meta-blocking the weighted blocking graph rebuilds as the slots
+// are indexed, and the image's kept pairs seed the delta pruner at the
+// first reconcile, which re-fates every one of them against the rebuilt
+// statistics. A durable resolver checkpoints immediately afterwards, so
 // the shipped state is locally recoverable from the first moment.
-func (r *Resolver) Bootstrap(bs BootstrapState) error {
+func (r *Resolver) Bootstrap(im *Image) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.broken != nil {
@@ -362,57 +329,8 @@ func (r *Resolver) Bootstrap(bs BootstrapState) error {
 	if r.coll.Len() != 0 || r.lastSeq != 0 || r.stats.Inserts+r.stats.Updates+r.stats.Deletes != 0 {
 		return fmt.Errorf("incremental: bootstrap requires a pristine resolver (have %d slots, %d ops)", r.coll.Len(), r.stats.Inserts+r.stats.Updates+r.stats.Deletes)
 	}
-	for i, sl := range bs.Slots {
-		d := &entity.Description{ID: -1}
-		if sl.Live {
-			d.URI, d.Source = sl.URI, sl.Source
-			d.Attrs = append(d.Attrs, sl.Attrs...)
-		}
-		id, err := r.coll.Add(d)
-		if err != nil {
-			return fmt.Errorf("incremental: bootstrap slot %d: %w", i, err)
-		}
-		if id != i {
-			return fmt.Errorf("incremental: bootstrap slot %d restored at handle %d", i, id)
-		}
-		r.live = append(r.live, sl.Live)
-		if !sl.Live {
-			continue
-		}
-		r.liveCount++
-		if d.URI != "" {
-			if _, dup := r.byURI[d.URI]; dup {
-				return fmt.Errorf("incremental: bootstrap lists URI %q twice", d.URI)
-			}
-			r.byURI[d.URI] = id
-		}
-		// The weighted graph (when configured) observes these adds, so the
-		// shipped membership rebuilds its statistics in the same pass.
-		if err := r.blocks.Add(id, d.Source, sl.Keys); err != nil {
-			return fmt.Errorf("incremental: bootstrap slot %d: %w", i, err)
-		}
-	}
-	edges := make([]graph.Edge, 0, len(bs.Edges))
-	for _, e := range bs.Edges {
-		if !r.isLive(e.A) || !r.isLive(e.B) {
-			return fmt.Errorf("incremental: bootstrap edge (%d,%d) references a dead slot", e.A, e.B)
-		}
-		edges = append(edges, graph.Edge{A: e.A, B: e.B, Weight: 1})
-	}
-	r.dyn = graph.DynamicFromEdges(edges)
-	r.stats.Inserts, r.stats.Updates, r.stats.Deletes = bs.Inserts, bs.Updates, bs.Deletes
-	r.stats.Comparisons = bs.Comparisons
-	r.lastSeq = bs.Seq
-	if r.weighted != nil {
-		r.metaDirty = bs.MetaDirty
-		// The shipped edges become the kept baseline the delta pruner is
-		// seeded from at the first reconcile: every baseline pair is
-		// re-examined then, so shipped edges whose pairs are no longer kept
-		// (or no longer co-occur at all) are retired exactly like the old
-		// full-rescan reconcile's global stale-edge sweep did. The shipped
-		// weight (1) is provisional; the first reconcile rewrites every
-		// re-fated pair's weight from the rebuilt statistics.
-		r.lastKept = append([]graph.Edge(nil), edges...)
+	if err := r.restore(im); err != nil {
+		return err
 	}
 	// A durable resolver has no journal records to reproduce this state from
 	// — it arrived as one transfer — so checkpoint it immediately; recovery

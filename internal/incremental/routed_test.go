@@ -7,7 +7,6 @@ import (
 
 	"entityres/internal/blocking"
 	"entityres/internal/entity"
-	"entityres/internal/graph"
 	"entityres/internal/matching"
 )
 
@@ -225,18 +224,21 @@ func TestRoutedReplay(t *testing.T) {
 // remote-rejoin state transfer — and checks the restored stream position,
 // counters, match graph and index, in memory and durably.
 func TestBootstrap(t *testing.T) {
-	bs := BootstrapState{
-		Slots: []BootstrapSlot{
-			{Live: true, URI: "u:a", Attrs: []entity.Attribute{{Name: "name", Value: "alice smith"}},
-				Keys: []string{"alice", "smith"}},
-			{}, // placeholder: slot-advanced, content-free
-			{Live: true, URI: "u:c", Attrs: []entity.Attribute{{Name: "name", Value: "alice smith"}},
-				Keys: []string{"alice", "smith"}},
-		},
-		Edges:   []graph.Edge{{A: 0, B: 2}},
-		Inserts: 3, Updates: 2, Deletes: 1, Comparisons: 4,
-		Seq: 6,
+	cfg := Config{
+		Kind:    entity.Dirty,
+		Blocker: &blocking.TokenBlocking{},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Durable: DurableOptions{NoSync: true},
 	}
+	im := NewImage(cfg)
+	im.Slots = []ImageSlot{
+		NewImageSlot(entity.NewDescription("u:a").Add("name", "alice smith"), []string{"alice", "smith"}),
+		{}, // placeholder: slot-advanced, content-free
+		NewImageSlot(entity.NewDescription("u:c").Add("name", "alice smith"), []string{"alice", "smith"}),
+	}
+	im.Matches = [][2]entity.ID{{0, 2}}
+	im.Stats = ImageStats{Inserts: 3, Updates: 2, Deletes: 1, Comparisons: 4}
+	im.LastSeq = 6
 	check := func(t *testing.T, r *Resolver) {
 		t.Helper()
 		if got := r.LastSeq(); got != 6 {
@@ -264,29 +266,23 @@ func TestBootstrap(t *testing.T) {
 
 	t.Run("memory", func(t *testing.T) {
 		r := newTestResolver(t, entity.Dirty)
-		if err := r.Bootstrap(bs); err != nil {
+		if err := r.Bootstrap(im); err != nil {
 			t.Fatal(err)
 		}
 		check(t, r)
 		// Bootstrap demands pristine state.
-		if err := r.Bootstrap(bs); err == nil {
+		if err := r.Bootstrap(im); err == nil {
 			t.Fatal("bootstrap over applied state accepted")
 		}
 	})
 
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
-		cfg := Config{
-			Kind:    entity.Dirty,
-			Blocker: &blocking.TokenBlocking{},
-			Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
-			Durable: DurableOptions{NoSync: true},
-		}
 		r, err := OpenResolver(dir, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Bootstrap(bs); err != nil {
+		if err := r.Bootstrap(im); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Close(); err != nil {
@@ -302,16 +298,21 @@ func TestBootstrap(t *testing.T) {
 	})
 
 	t.Run("invalid", func(t *testing.T) {
-		dup := bs
-		dup.Slots = append([]BootstrapSlot(nil), bs.Slots...)
+		dup := *im
+		dup.Slots = append([]ImageSlot(nil), im.Slots...)
 		dup.Slots[1] = dup.Slots[0]
-		if err := newTestResolver(t, entity.Dirty).Bootstrap(dup); err == nil {
+		if err := newTestResolver(t, entity.Dirty).Bootstrap(&dup); err == nil {
 			t.Fatal("duplicate URI accepted")
 		}
-		dead := bs
-		dead.Edges = []graph.Edge{{A: 0, B: 1}}
-		if err := newTestResolver(t, entity.Dirty).Bootstrap(dead); err == nil {
+		dead := *im
+		dead.Matches = [][2]entity.ID{{0, 1}}
+		if err := newTestResolver(t, entity.Dirty).Bootstrap(&dead); err == nil {
 			t.Fatal("edge to a dead slot accepted")
+		}
+		other := *im
+		other.Blocker = "standard"
+		if err := newTestResolver(t, entity.Dirty).Bootstrap(&other); err == nil {
+			t.Fatal("image of another blocker accepted")
 		}
 	})
 }

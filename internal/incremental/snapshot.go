@@ -5,46 +5,55 @@ import (
 	"fmt"
 	"sort"
 
-	"entityres/internal/blocking"
 	"entityres/internal/entity"
 	"entityres/internal/graph"
-	"entityres/internal/metablocking"
 )
 
-// The resolver snapshot codec: the full serialized state a compaction
-// checkpoint writes and crash recovery restores. The snapshot stores
-// everything recovery would otherwise have to recompute —
+// The state image: the one serialized form of a resolver's full state. A
+// compaction checkpoint writes it, crash recovery restores it
+// (OpenResolver), and a networked coordinator ships a shard that lost its
+// disk its key-space projection in the same layout (Bootstrap). The image
+// stores what cannot be re-derived —
 //
 //   - every collection slot in handle order (dead slots as placeholders, so
-//     recovered handles equal the original run's), with each live
+//     restored handles equal the original run's), with each live
 //     description's attributes AND its indexed blocking keys, so restore
 //     never re-runs the blocker's tokenization;
-//   - the match graph's edges (graph.Dynamic's snapshot codec);
-//   - with meta-blocking, the weighted blocking graph's co-occurrence
-//     statistics (metablocking's snapshot codec — far cheaper to reload
-//     than to re-derive from posting lists), the cached matcher decisions
-//     (so recovered reconciles re-evaluate exactly the pairs an
-//     uninterrupted resolver would, keeping comparison counters bit-exact),
-//     the last pruning result and the deferred-work flag;
-//   - the operation and comparison counters.
+//   - the match graph's edges;
+//   - with meta-blocking, the cached matcher decisions (so restored
+//     reconciles re-evaluate exactly the pairs an uninterrupted resolver
+//     would, keeping comparison counters bit-exact), the last pruning
+//     result and the deferred-work flag;
+//   - the operation and comparison counters and the routed-stream position.
+//
+// The weighted blocking graph is NOT stored. Its statistics are pure
+// functions of block membership, and the graph observes the block index
+// while restore re-adds every slot, so it rebuilds in the same pass.
+// Storing it cost one entry per co-occurring pair: it dominated meta
+// checkpoints, took longer to decode than the rebuild takes, and pushed
+// mid-sized checkpoints past the WAL's snapshot bound. Images written by
+// older releases still carry it under "weighted"; the decoder ignores the
+// key, so the format is unchanged.
 //
 // A configuration fingerprint (kind, blocker, matcher, meta-blocker names)
 // guards restore: state written under one configuration refuses to load
 // under another instead of silently diverging from the differential
 // contract.
 
-// snapshotFormat versions the snapshot layout.
+// snapshotFormat versions the image layout.
 const snapshotFormat = 1
 
-type snapshotJSON struct {
+// Image is a resolver's full state in its serialized layout. NewImage
+// fills the fingerprint; Encode renders it and DecodeImage parses it back.
+type Image struct {
 	Format  int    `json:"format"`
 	Kind    int    `json:"kind"`
 	Blocker string `json:"blocker"`
 	Matcher string `json:"matcher"`
 	Meta    string `json:"meta,omitempty"`
 
-	Slots   []slotJSON     `json:"slots,omitempty"`
-	Stats   statsJSON      `json:"stats"`
+	Slots   []ImageSlot    `json:"slots,omitempty"`
+	Stats   ImageStats     `json:"stats"`
 	Matches [][2]entity.ID `json:"matches,omitempty"`
 	// LastRecord is the most recently applied operation, preserved across
 	// compaction so a sharded fan-out-tear donor (Resolver.LastRecord) can
@@ -54,16 +63,16 @@ type snapshotJSON struct {
 	// 0 for resolvers fed through the direct methods.
 	LastSeq uint64 `json:"last_seq,omitempty"`
 
-	Weighted  *metablocking.WeightedGraphSnapshot `json:"weighted,omitempty"`
-	SimCache  []simCacheJSON                      `json:"sim_cache,omitempty"`
-	LastKept  []keptJSON                          `json:"last_kept,omitempty"`
-	MetaDirty bool                                `json:"meta_dirty,omitempty"`
+	SimCache  []simCacheJSON `json:"sim_cache,omitempty"`
+	LastKept  []keptJSON     `json:"last_kept,omitempty"`
+	MetaDirty bool           `json:"meta_dirty,omitempty"`
 }
 
-// slotJSON is one collection slot in handle order. Dead slots (deleted
-// descriptions, burned inserts) serialize as the zero value: their content
-// is unobservable, only the handle they occupy matters.
-type slotJSON struct {
+// ImageSlot is one collection slot in handle order. Dead slots (deleted
+// descriptions, burned inserts, a shard's slot-advanced placeholders)
+// serialize as the zero value: their content is unobservable, only the
+// handle they occupy matters.
+type ImageSlot struct {
 	Live   bool       `json:"live,omitempty"`
 	URI    string     `json:"uri,omitempty"`
 	Source int        `json:"source,omitempty"`
@@ -73,7 +82,8 @@ type slotJSON struct {
 	Keys []string `json:"keys,omitempty"`
 }
 
-type statsJSON struct {
+// ImageStats are the operation and comparison counters.
+type ImageStats struct {
 	Inserts     int64 `json:"inserts"`
 	Updates     int64 `json:"updates"`
 	Deletes     int64 `json:"deletes"`
@@ -90,6 +100,52 @@ type keptJSON struct {
 	A entity.ID `json:"a"`
 	B entity.ID `json:"b"`
 	W float64   `json:"w"`
+}
+
+// NewImage returns an empty image carrying cfg's fingerprint.
+func NewImage(cfg Config) *Image {
+	im := &Image{
+		Format:  snapshotFormat,
+		Kind:    int(cfg.Kind),
+		Blocker: cfg.Blocker.Name(),
+		Matcher: cfg.Matcher.Name(),
+	}
+	if cfg.Meta != nil {
+		im.Meta = cfg.Meta.Name()
+	}
+	return im
+}
+
+// NewImageSlot returns the live slot of description d indexed under keys.
+func NewImageSlot(d *entity.Description, keys []string) ImageSlot {
+	sl := ImageSlot{Live: true, URI: d.URI, Source: d.Source, Keys: keys}
+	for _, a := range d.Attrs {
+		sl.Attrs = append(sl.Attrs, attrJSON{Name: a.Name, Value: a.Value})
+	}
+	return sl
+}
+
+// Encode renders the image in its serialized layout.
+func (im *Image) Encode() ([]byte, error) {
+	payload, err := json.Marshal(im)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	}
+	return payload, nil
+}
+
+// DecodeImage parses a serialized image and checks its format version.
+// Keys the layout no longer has (an older release's weighted graph) are
+// ignored.
+func DecodeImage(payload []byte) (*Image, error) {
+	var im Image
+	if err := json.Unmarshal(payload, &im); err != nil {
+		return nil, fmt.Errorf("incremental: decoding snapshot: %w", err)
+	}
+	if im.Format != snapshotFormat {
+		return nil, fmt.Errorf("incremental: snapshot format %d is not supported (want %d)", im.Format, snapshotFormat)
+	}
+	return &im, nil
 }
 
 // Abandon hard-stops the resolver, simulating a process crash: the
@@ -114,68 +170,44 @@ func (r *Resolver) Abandon() {
 	r.broken = errClosed
 }
 
-// fingerprintMeta renders the configured meta-blocker for the snapshot
-// fingerprint ("" without one).
-func (r *Resolver) fingerprintMeta() string {
-	if r.cfg.Meta == nil {
-		return ""
-	}
-	return r.cfg.Meta.Name()
-}
-
 // encodeSnapshot serializes the resolver's full state. It returns the
-// payload plus the serialized slot and weighted-pair counts (the
-// compaction-cost counters). Callers hold r.mu.
-func (r *Resolver) encodeSnapshot() ([]byte, int, int, error) {
-	s := snapshotJSON{
-		Format:  snapshotFormat,
-		Kind:    int(r.cfg.Kind),
-		Blocker: r.cfg.Blocker.Name(),
-		Matcher: r.cfg.Matcher.Name(),
-		Meta:    r.fingerprintMeta(),
-		Stats: statsJSON{
-			Inserts:     r.stats.Inserts,
-			Updates:     r.stats.Updates,
-			Deletes:     r.stats.Deletes,
-			Comparisons: r.stats.Comparisons,
-		},
+// payload plus the serialized slot count (a compaction-cost counter).
+// Callers hold r.mu.
+func (r *Resolver) encodeSnapshot() ([]byte, int, error) {
+	im := NewImage(r.cfg)
+	im.Stats = ImageStats{
+		Inserts:     r.stats.Inserts,
+		Updates:     r.stats.Updates,
+		Deletes:     r.stats.Deletes,
+		Comparisons: r.stats.Comparisons,
 	}
 	for _, d := range r.coll.All() {
-		sl := slotJSON{Live: r.live[d.ID]}
-		if sl.Live {
-			sl.URI, sl.Source = d.URI, d.Source
-			for _, a := range d.Attrs {
-				sl.Attrs = append(sl.Attrs, attrJSON{Name: a.Name, Value: a.Value})
-			}
-			sl.Keys = r.blocks.Keys(d.ID)
+		var sl ImageSlot
+		if r.live[d.ID] {
+			sl = NewImageSlot(d, r.blocks.Keys(d.ID))
 		}
-		s.Slots = append(s.Slots, sl)
+		im.Slots = append(im.Slots, sl)
 	}
 	for _, e := range r.dyn.SnapshotEdges() {
-		s.Matches = append(s.Matches, [2]entity.ID{e.A, e.B})
+		im.Matches = append(im.Matches, [2]entity.ID{e.A, e.B})
 	}
-	s.LastSeq = r.lastSeq
+	im.LastSeq = r.lastSeq
 	if r.lastRecord != nil {
 		j := recordToJSON(*r.lastRecord)
-		s.LastRecord = &j
+		im.LastRecord = &j
 	}
 	if r.weighted != nil {
-		s.Weighted = r.weighted.Snapshot()
-		s.SimCache = encodeSimCache(r.simCache)
+		im.SimCache = encodeSimCache(r.simCache)
 		for _, e := range r.lastKept {
-			s.LastKept = append(s.LastKept, keptJSON{A: e.A, B: e.B, W: e.Weight})
+			im.LastKept = append(im.LastKept, keptJSON{A: e.A, B: e.B, W: e.Weight})
 		}
-		s.MetaDirty = r.metaDirty
+		im.MetaDirty = r.metaDirty
 	}
-	payload, err := json.Marshal(&s)
+	payload, err := im.Encode()
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("incremental: %w", err)
+		return nil, 0, err
 	}
-	pairs := 0
-	if s.Weighted != nil {
-		pairs = len(s.Weighted.Pairs)
-	}
-	return payload, len(s.Slots), pairs, nil
+	return payload, len(im.Slots), nil
 }
 
 // encodeSimCache flattens the bidirectional decision cache into canonical
@@ -195,38 +227,19 @@ func encodeSimCache(cache *DecisionCache) []simCacheJSON {
 	return out
 }
 
-// restoreSnapshot loads a full snapshot into a freshly-constructed
-// resolver. Callers need not hold r.mu (the resolver is not yet published).
-func (r *Resolver) restoreSnapshot(payload []byte) error {
-	var s snapshotJSON
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return fmt.Errorf("incremental: decoding snapshot: %w", err)
-	}
-	if s.Format != snapshotFormat {
-		return fmt.Errorf("incremental: snapshot format %d is not supported (want %d)", s.Format, snapshotFormat)
-	}
-	// The configuration fingerprint: recovering under a different blocker,
-	// matcher or meta-blocker would silently break the differential
-	// contract, so refuse loudly instead.
-	if entity.Kind(s.Kind) != r.cfg.Kind {
-		return fmt.Errorf("incremental: snapshot resolves %v collections, resolver configured for %v", entity.Kind(s.Kind), r.cfg.Kind)
-	}
-	if s.Blocker != r.cfg.Blocker.Name() {
-		return fmt.Errorf("incremental: snapshot was written under blocker %q, resolver configured with %q", s.Blocker, r.cfg.Blocker.Name())
-	}
-	if s.Matcher != r.cfg.Matcher.Name() {
-		return fmt.Errorf("incremental: snapshot was written under matcher %q, resolver configured with %q", s.Matcher, r.cfg.Matcher.Name())
-	}
-	if meta := r.fingerprintMeta(); s.Meta != meta {
-		return fmt.Errorf("incremental: snapshot was written under meta-blocking %q, resolver configured with %q", s.Meta, meta)
+// restore validates an image against the resolver's configuration and
+// loads it into a resolver that holds no state yet — the one restore path
+// of checkpoint recovery and shard bootstrap. Callers hold r.mu or own the
+// unpublished resolver.
+func (r *Resolver) restore(im *Image) error {
+	if err := r.checkFingerprint(im.Kind, im.Blocker, im.Matcher, im.Meta); err != nil {
+		return err
 	}
 
 	// Rebuild the collection slot-for-slot and the block index from the
-	// stored key sets. The index is rebuilt WITHOUT observers so the
-	// restored weighted graph (loaded whole below) is not double-counted;
-	// it starts observing once membership is in place.
-	blocks := blocking.NewBlockIndex(r.cfg.Kind)
-	for i, sl := range s.Slots {
+	// stored key sets. Under meta-blocking the weighted graph observes the
+	// index (New wires it), so its statistics rebuild as the slots go in.
+	for i, sl := range im.Slots {
 		d := &entity.Description{ID: -1}
 		if sl.Live {
 			d.URI, d.Source = sl.URI, sl.Source
@@ -252,14 +265,16 @@ func (r *Resolver) restoreSnapshot(payload []byte) error {
 			}
 			r.byURI[d.URI] = id
 		}
-		if err := blocks.Add(id, d.Source, sl.Keys); err != nil {
+		if err := r.blocks.Add(id, d.Source, sl.Keys); err != nil {
 			return fmt.Errorf("incremental: snapshot slot %d: %w", i, err)
 		}
 	}
-	r.blocks = blocks
 
-	edges := make([]graph.Edge, 0, len(s.Matches))
-	for _, m := range s.Matches {
+	edges := make([]graph.Edge, 0, len(im.Matches))
+	for _, m := range im.Matches {
+		if err := checkPair("match", m[0], m[1], len(im.Slots)); err != nil {
+			return err
+		}
 		if !r.isLive(m[0]) || !r.isLive(m[1]) {
 			return fmt.Errorf("incremental: snapshot match (%d,%d) references a dead slot", m[0], m[1])
 		}
@@ -268,42 +283,68 @@ func (r *Resolver) restoreSnapshot(payload []byte) error {
 	r.dyn = graph.DynamicFromEdges(edges)
 
 	if r.cfg.Meta != nil {
-		if s.Weighted == nil {
-			return fmt.Errorf("incremental: snapshot lacks the weighted blocking graph the meta configuration requires")
-		}
-		wg, err := metablocking.WeightedGraphFromSnapshot(s.Weighted)
-		if err != nil {
-			return fmt.Errorf("incremental: %w", err)
-		}
-		if wg.Kind() != r.cfg.Kind {
-			return fmt.Errorf("incremental: snapshot weighted graph resolves %v collections, resolver configured for %v", wg.Kind(), r.cfg.Kind)
-		}
-		r.weighted = wg
-		r.simCache = NewDecisionCache()
-		for _, e := range s.SimCache {
+		for _, e := range im.SimCache {
+			if err := checkPair("cached decision", e.A, e.B, len(im.Slots)); err != nil {
+				return err
+			}
 			r.simCache.Set(e.A, e.B, e.Match)
 		}
+		// A kept pair may name a slot deleted since the last reconcile: the
+		// next reconcile re-fates it, so liveness is not required.
 		r.lastKept = r.lastKept[:0]
-		for _, k := range s.LastKept {
+		for _, k := range im.LastKept {
+			if err := checkPair("kept pair", k.A, k.B, len(im.Slots)); err != nil {
+				return err
+			}
 			r.lastKept = append(r.lastKept, graph.Edge{A: k.A, B: k.B, Weight: k.W})
 		}
-		r.metaDirty = s.MetaDirty
-		// The graph was loaded whole; it observes membership from here on.
-		r.blocks.Observe(wg)
+		r.metaDirty = im.MetaDirty
 	}
 
-	if s.LastRecord != nil {
-		rec, err := recordFromJSON(*s.LastRecord)
+	if im.LastRecord != nil {
+		rec, err := recordFromJSON(*im.LastRecord)
 		if err != nil {
 			return fmt.Errorf("incremental: snapshot last record: %w", err)
 		}
 		r.lastRecord = &rec
 	}
 
-	r.stats.Inserts = s.Stats.Inserts
-	r.stats.Updates = s.Stats.Updates
-	r.stats.Deletes = s.Stats.Deletes
-	r.stats.Comparisons = s.Stats.Comparisons
-	r.lastSeq = s.LastSeq
+	r.stats.Inserts = im.Stats.Inserts
+	r.stats.Updates = im.Stats.Updates
+	r.stats.Deletes = im.Stats.Deletes
+	r.stats.Comparisons = im.Stats.Comparisons
+	r.lastSeq = im.LastSeq
+	return nil
+}
+
+// checkFingerprint refuses state written under another configuration:
+// recovering under a different kind, blocker, matcher or meta-blocker would
+// silently break the differential contract, so it fails loudly instead.
+func (r *Resolver) checkFingerprint(kind int, blocker, matcher, meta string) error {
+	want := NewImage(r.cfg)
+	if kind != want.Kind {
+		return fmt.Errorf("incremental: snapshot resolves %v collections, resolver configured for %v", entity.Kind(kind), r.cfg.Kind)
+	}
+	if blocker != want.Blocker {
+		return fmt.Errorf("incremental: snapshot was written under blocker %q, resolver configured with %q", blocker, want.Blocker)
+	}
+	if matcher != want.Matcher {
+		return fmt.Errorf("incremental: snapshot was written under matcher %q, resolver configured with %q", matcher, want.Matcher)
+	}
+	if meta != want.Meta {
+		return fmt.Errorf("incremental: snapshot was written under meta-blocking %q, resolver configured with %q", meta, want.Meta)
+	}
+	return nil
+}
+
+// checkPair refuses an image pair that is a self-pair or names a handle
+// outside the image's slots.
+func checkPair(what string, a, b entity.ID, slots int) error {
+	if a < 0 || a >= slots || b < 0 || b >= slots {
+		return fmt.Errorf("incremental: snapshot %s (%d,%d) is outside the %d slots", what, a, b, slots)
+	}
+	if a == b {
+		return fmt.Errorf("incremental: snapshot %s (%d,%d) is a self-pair", what, a, b)
+	}
 	return nil
 }

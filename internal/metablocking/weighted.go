@@ -360,7 +360,7 @@ func (m *MetaBlocker) ValidateStreaming() error {
 	switch m.Weight {
 	case CBS, ECBS, JS:
 	case EJS:
-		return fmt.Errorf("metablocking: EJS weighting cannot stream: its degree discount log(|E|/deg) drifts with every arrival (epoch-based EJS is a ROADMAP follow-on)")
+		return fmt.Errorf("metablocking: EJS weighting cannot stream: its degree discount log(|E|/deg) drifts with every arrival")
 	case ARCS:
 		return fmt.Errorf("metablocking: ARCS weighting cannot stream: per-block reciprocal comparison mass is not decomposable into per-pair deltas")
 	default:
@@ -369,7 +369,7 @@ func (m *MetaBlocker) ValidateStreaming() error {
 	switch m.Prune {
 	case WEP, WNP:
 	case CEP, CNP:
-		return fmt.Errorf("metablocking: %s pruning cannot stream: its cardinality budget is derived from the whole block collection (batch-only; budget decay is a ROADMAP follow-on)", m.Prune)
+		return fmt.Errorf("metablocking: %s pruning cannot stream: its cardinality budget is derived from the whole block collection (batch-only)", m.Prune)
 	default:
 		return fmt.Errorf("metablocking: unknown prune scheme %v", m.Prune)
 	}

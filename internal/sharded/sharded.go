@@ -207,9 +207,7 @@ func keyOwner(key string, shards int) int {
 // its WAL tail against its own historical state, where a candidate's keys
 // are those of its attributes AS OF that replay point — reading a shared,
 // current memo there would mis-assign pair ownership and silently break
-// the bit-exactness contract. Deduplicating the derivation belongs to the
-// routed-op transport follow-on (see ROADMAP), where ops ship with
-// precomputed key sets.
+// the bit-exactness contract.
 type shardLens struct {
 	raw           blocking.KeyFunc
 	shards, index int

@@ -129,11 +129,43 @@ func runShardCrashRejoin(t *testing.T, cc transportChaosConfig) {
 	if ts := co.TransportStats(); len(ts.Down) != 0 {
 		t.Fatalf("Down = %v after rejoin", ts.Down)
 	}
+	if cc.wipe && cc.meta == nil {
+		assertOwnedEdges(t, cl.servers[victim].Resolver(), single, victim, cc.shards)
+	}
 
 	// The stream flows again and lands bit-exact.
 	apply(co, k+1, cc.ops)
 	apply(single, k+1, cc.ops)
 	assertCoordinatorEquals(t, co, single, "single-node", cc.meta != nil, cc.ops)
+}
+
+// assertOwnedEdges checks that shard victim holds exactly the edges of the
+// reference's match graph whose first shared blocking key it owns — the
+// slice a shipped image must carry for the shard to retire those edges
+// itself later.
+func assertOwnedEdges(t *testing.T, shard, ref *incremental.Resolver, victim, shards int) {
+	t.Helper()
+	keyer := (&blocking.TokenBlocking{}).StreamKeyer()
+	keys := map[entity.ID][]string{}
+	ref.EachSlot(func(id entity.ID, live bool, d *entity.Description) bool {
+		if live {
+			keys[id] = blocking.DistinctKeys(keyer(d))
+		}
+		return true
+	})
+	var want []string
+	for _, e := range ref.MatchEdges() {
+		if fs, ok := sharded.FirstSharedKey(keys[e.A], keys[e.B]); ok && sharded.KeyOwner(fs, shards) == victim {
+			want = append(want, fmt.Sprintf("%d-%d", e.A, e.B))
+		}
+	}
+	var got []string
+	for _, e := range shard.MatchEdges() {
+		got = append(got, fmt.Sprintf("%d-%d", e.A, e.B))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("bootstrapped shard %d holds edges %v, want its owned slice %v", victim, got, want)
+	}
 }
 
 // mixedMeta picks the op mix: churn exercises the most routing shapes.
@@ -162,6 +194,9 @@ func TestShardWipeBootstrap(t *testing.T) {
 	configs := []transportChaosConfig{
 		{name: "wipe", shards: 3, seed: 311, ops: 120, wipe: true},
 		{name: "wipe", shards: 5, seed: 312, ops: 120, wipe: true},
+		// The victim of seed 321 owns a match edge when it is wiped, so the
+		// shipped image's edge slice is checked against a non-empty set.
+		{name: "wipe", shards: 3, seed: 321, ops: 120, wipe: true},
 		{name: "wipe", shards: 3, seed: 313, ops: 120, wipe: true,
 			meta: &metablocking.MetaBlocker{Weight: metablocking.ECBS, Prune: metablocking.WNP}},
 	}

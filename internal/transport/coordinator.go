@@ -44,6 +44,7 @@ import (
 	"entityres/internal/graph"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
+	"entityres/internal/wal"
 )
 
 // ShardUnavailableError reports shards that could not be reached during a
@@ -529,17 +530,22 @@ func (r *Coordinator) rejoinLocked(ctx context.Context, i int) error {
 	return nil
 }
 
-// bootstrapBlob builds shard i's key-space projection of the replica: its
-// owned slots, its owned slice of the match graph, the global operation
-// counters, and the comparison counter an uninterrupted shard i would hold
-// at this stream position. Callers hold r.mu.
-func (r *Coordinator) bootstrapBlob(i int) (blob []byte, err error) {
-	bs := incremental.BootstrapState{Seq: r.seq, MetaDirty: r.cfg.Meta != nil}
+// bootstrapBlob builds shard i's key-space projection of the replica as a
+// CRC-framed state image: the shard's fingerprint, its owned slots and
+// keys, its owned slice of the match graph, the global operation counters,
+// and the comparison counter an uninterrupted shard i would hold at this
+// stream position. Callers hold r.mu.
+func (r *Coordinator) bootstrapBlob(i int) ([]byte, error) {
+	// The shard's blocker forwards the raw blocker's name, so the replica
+	// configuration's fingerprint is the shard's.
+	im := incremental.NewImage(incremental.Config{Kind: r.cfg.Kind, Blocker: r.cfg.Blocker, Matcher: r.cfg.Matcher, Meta: r.cfg.Meta})
+	im.LastSeq = r.seq
+	im.MetaDirty = r.cfg.Meta != nil
 	c := r.rep.Counters()
-	bs.Inserts, bs.Updates, bs.Deletes = c.Inserts, c.Updates, c.Deletes
+	im.Stats = incremental.ImageStats{Inserts: c.Inserts, Updates: c.Updates, Deletes: c.Deletes}
 	keys := make(map[entity.ID][]string)
 	r.rep.EachSlot(func(id entity.ID, live bool, d *entity.Description) bool {
-		var sl incremental.BootstrapSlot
+		var sl incremental.ImageSlot
 		if live {
 			full := r.keysOf(d)
 			keys[id] = full
@@ -550,31 +556,31 @@ func (r *Coordinator) bootstrapBlob(i int) (blob []byte, err error) {
 				}
 			}
 			if owned != nil {
-				sl = incremental.BootstrapSlot{
-					Live:   true,
-					URI:    d.URI,
-					Source: d.Source,
-					Attrs:  append([]entity.Attribute(nil), d.Attrs...),
-					Keys:   owned,
-				}
+				sl = incremental.NewImageSlot(d, owned)
 			}
 		}
-		bs.Slots = append(bs.Slots, sl)
+		im.Slots = append(im.Slots, sl)
 		return true
 	})
+	// Under meta-blocking the replica reconciles the match graph itself
+	// (r.dyn is nil): the image ships no matches, and so no kept pairs.
 	if r.dyn != nil {
 		for _, e := range r.dyn.SnapshotEdges() {
 			if fs, ok := sharded.FirstSharedKey(keys[e.A], keys[e.B]); ok && sharded.KeyOwner(fs, r.shards) == i {
-				bs.Edges = append(bs.Edges, e)
+				im.Matches = append(im.Matches, [2]entity.ID{e.A, e.B})
 			}
 		}
 		comp, err := r.compAt(i)
 		if err != nil {
 			return nil, err
 		}
-		bs.Comparisons = comp
+		im.Stats.Comparisons = comp
 	}
-	return encodeBootstrap(bs)
+	payload, err := im.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return wal.EncodeFramed(payload)
 }
 
 // compAt returns the cumulative comparison count an uninterrupted shard i

@@ -1,7 +1,9 @@
-// Control-plane message shapes: connection hello, shard state fetch, and
-// the bootstrap blob — a JSON-encoded incremental.BootstrapState framed as
+// Control-plane message shapes: connection hello and shard state fetch.
+// The bootstrap blob is no shape of its own: it is the shard's
+// incremental.Image — the same state image a checkpoint writes — framed as
 // a wal.Snapshot, so a state transfer over the wire carries the same
-// integrity check as a snapshot file read from disk.
+// integrity check as a snapshot file read from disk and restores through
+// the same path.
 package transport
 
 import (
@@ -9,10 +11,7 @@ import (
 	"fmt"
 
 	"entityres/internal/entity"
-	"entityres/internal/graph"
-	"entityres/internal/incremental"
 	"entityres/internal/sharded"
-	"entityres/internal/wal"
 )
 
 // Hello opens every connection. The client states the deployment shape
@@ -56,31 +55,6 @@ type edgeJSON struct {
 	B entity.ID `json:"b"`
 }
 
-// bootstrapJSON is the serialized incremental.BootstrapState.
-type bootstrapJSON struct {
-	Slots       []bootstrapSlotJSON `json:"slots"`
-	Edges       []edgeJSON          `json:"edges,omitempty"`
-	Inserts     int64               `json:"inserts"`
-	Updates     int64               `json:"updates"`
-	Deletes     int64               `json:"deletes"`
-	Comparisons int64               `json:"comparisons"`
-	Seq         uint64              `json:"seq"`
-	MetaDirty   bool                `json:"meta_dirty,omitempty"`
-}
-
-type bootstrapSlotJSON struct {
-	Live   bool       `json:"live,omitempty"`
-	URI    string     `json:"uri,omitempty"`
-	Source int        `json:"source,omitempty"`
-	Attrs  []attrJSON `json:"attrs,omitempty"`
-	Keys   []string   `json:"keys,omitempty"`
-}
-
-type attrJSON struct {
-	Name  string `json:"n"`
-	Value string `json:"v"`
-}
-
 // marshalJSON marshals a control-plane message; the shapes above cannot
 // fail to marshal.
 func marshalJSON(v any) []byte {
@@ -97,63 +71,6 @@ func unmarshalJSON(payload []byte, v any) error {
 		return fmt.Errorf("transport: decoding control message: %w", err)
 	}
 	return nil
-}
-
-// encodeBootstrap renders bs as a CRC-framed wal.Snapshot blob.
-func encodeBootstrap(bs incremental.BootstrapState) (wal.Snapshot, error) {
-	out := bootstrapJSON{
-		Inserts:     bs.Inserts,
-		Updates:     bs.Updates,
-		Deletes:     bs.Deletes,
-		Comparisons: bs.Comparisons,
-		Seq:         bs.Seq,
-		MetaDirty:   bs.MetaDirty,
-		Slots:       make([]bootstrapSlotJSON, 0, len(bs.Slots)),
-	}
-	for _, sl := range bs.Slots {
-		js := bootstrapSlotJSON{Live: sl.Live, URI: sl.URI, Source: sl.Source, Keys: sl.Keys}
-		for _, a := range sl.Attrs {
-			js.Attrs = append(js.Attrs, attrJSON{Name: a.Name, Value: a.Value})
-		}
-		out.Slots = append(out.Slots, js)
-	}
-	for _, e := range bs.Edges {
-		out.Edges = append(out.Edges, edgeJSON{A: e.A, B: e.B})
-	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encoding bootstrap state: %w", err)
-	}
-	return wal.EncodeFramed(payload)
-}
-
-// decodeBootstrap validates the blob's frame and parses the state.
-func decodeBootstrap(blob wal.Snapshot) (incremental.BootstrapState, error) {
-	var bs incremental.BootstrapState
-	payload, err := wal.DecodeFramed(blob)
-	if err != nil {
-		return bs, fmt.Errorf("transport: bootstrap blob: %w", err)
-	}
-	var js bootstrapJSON
-	if err := json.Unmarshal(payload, &js); err != nil {
-		return bs, fmt.Errorf("transport: decoding bootstrap state: %w", err)
-	}
-	bs.Inserts, bs.Updates, bs.Deletes = js.Inserts, js.Updates, js.Deletes
-	bs.Comparisons = js.Comparisons
-	bs.Seq = js.Seq
-	bs.MetaDirty = js.MetaDirty
-	bs.Slots = make([]incremental.BootstrapSlot, 0, len(js.Slots))
-	for _, sl := range js.Slots {
-		s := incremental.BootstrapSlot{Live: sl.Live, URI: sl.URI, Source: sl.Source, Keys: sl.Keys}
-		for _, a := range sl.Attrs {
-			s.Attrs = append(s.Attrs, entity.Attribute{Name: a.Name, Value: a.Value})
-		}
-		bs.Slots = append(bs.Slots, s)
-	}
-	for _, e := range js.Edges {
-		bs.Edges = append(bs.Edges, graph.Edge{A: e.A, B: e.B, Weight: 1})
-	}
-	return bs, nil
 }
 
 // Expectation builds the deployment identity a client of shard index under

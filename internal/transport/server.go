@@ -18,6 +18,7 @@ import (
 	"entityres/internal/entity"
 	"entityres/internal/incremental"
 	"entityres/internal/sharded"
+	"entityres/internal/wal"
 )
 
 // ShardServer serves one shard's resolver over the wire protocol.
@@ -231,14 +232,18 @@ func (s *ShardServer) applyBatch(payload []byte) (byte, []byte, error) {
 // acknowledged again when the resolver is already exactly at the shipped
 // sequence number.
 func (s *ShardServer) bootstrap(payload []byte) (byte, []byte, error) {
-	bs, err := decodeBootstrap(payload)
+	image, err := wal.DecodeFramed(payload)
+	if err != nil {
+		return 0, nil, fmt.Errorf("transport: bootstrap blob: %w", err)
+	}
+	im, err := incremental.DecodeImage(image)
 	if err != nil {
 		return 0, nil, err
 	}
-	if s.res.LastSeq() == bs.Seq && bs.Seq > 0 {
+	if s.res.LastSeq() == im.LastSeq && im.LastSeq > 0 {
 		return frameBootstrapOK, nil, nil
 	}
-	if err := s.res.Bootstrap(bs); err != nil {
+	if err := s.res.Bootstrap(im); err != nil {
 		return 0, nil, err
 	}
 	return frameBootstrapOK, nil, nil

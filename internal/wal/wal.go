@@ -32,9 +32,8 @@
 // record written before it, so durability stops serializing concurrent
 // writers on disk latency. The first appender to need a sync becomes the
 // leader, syncs everything written so far, and wakes the batch; appenders
-// arriving during the sync form the next batch. See the ROADMAP's group
-// commit item and the sharded streaming resolver, whose per-shard WALs
-// run in this mode.
+// arriving during the sync form the next batch. The sharded streaming
+// resolver runs its per-shard WALs in this mode.
 //
 // Without GroupCommit a Log is not safe for concurrent use; the streaming
 // resolver serializes operations.
