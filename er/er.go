@@ -487,11 +487,10 @@ type (
 )
 
 // ParallelPipeline runs a Pipeline configuration with a chosen worker
-// count: sharded blocking index build, parallel meta-blocking edge
-// weighting, a worker-pool matcher fed by a streaming comparison iterator,
+// count: sharded blocking index build, node-centric meta-blocking over
+// ranges of records, a matcher whose workers walk record neighbourhoods,
 // and wave-parallel budgeted progressive runs. Pipeline.Run is the same
-// engine at one worker, and results are deterministic across worker counts
-// (ARCS-weighted meta-blocking excepted — see the core package docs).
+// engine at one worker, and results are deterministic across worker counts.
 type ParallelPipeline struct {
 	// Config is the phase configuration.
 	Config Pipeline
@@ -530,8 +529,9 @@ func BuildShardedBlocks(ctx context.Context, c *Collection, kb KeyedBlocker, sha
 }
 
 // ResolveBlocksParallel executes a matcher over a block collection's
-// distinct comparisons with a pool of concurrent workers; the match output
-// equals ResolveBlocks for any worker count.
+// distinct comparisons with a pool of concurrent workers that walk record
+// neighbourhoods; the match output and comparison count equal
+// ResolveBlocks for any worker count.
 func ResolveBlocksParallel(ctx context.Context, c *Collection, bs *Blocks, m *Matcher, workers int) (MatchResult, error) {
 	return matching.ResolveBlocksParallel(ctx, c, bs, m, workers)
 }

@@ -133,9 +133,8 @@ func (bs *Blocks) DistinctPairs() *entity.PairSet {
 
 // EachDistinctComparison enumerates each distinct suggested pair exactly
 // once (first block wins), stopping early if fn returns false. It is a
-// wrapper over CompareIterator so the push- and pull-based enumerations —
-// which the sequential and parallel matchers respectively rely on — cannot
-// drift apart.
+// wrapper over CompareIterator so the push- and pull-based enumerations
+// cannot drift apart.
 func (bs *Blocks) EachDistinctComparison(fn func(p entity.Pair) bool) {
 	it := NewCompareIterator(bs)
 	for {

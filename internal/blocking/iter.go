@@ -5,13 +5,14 @@ import "entityres/internal/entity"
 // CompareIterator streams the distinct suggested comparisons of a block
 // collection in the same deterministic order as EachDistinctComparison
 // (block order, first block wins), without ever materializing the full
-// pair list. It is the pull-based form that worker pools and budgeted
-// progressive runs consume: each Next costs O(1) amortized plus the
-// redundancy skipped, and memory stays bounded by the distinct-pair dedup
-// set rather than by a pair slice.
+// pair list. Each Next costs O(1) amortized plus the redundancy skipped,
+// and memory is bounded by the distinct-pair dedup set. It defines which
+// comparisons a block collection suggests: evaluation and the static
+// progressive order read it, and the batch matcher, which walks an
+// EntityIndex instead, is tested against it and falls back to it for
+// block collections outside the index's domain.
 //
-// A CompareIterator is single-consumer: callers that fan comparisons out
-// to concurrent workers pull from one iterator and distribute the pairs.
+// A CompareIterator is single-consumer.
 type CompareIterator struct {
 	bs   *Blocks
 	seen *entity.PairSet

@@ -193,10 +193,9 @@ func (bi *BlockIndex) Remove(id entity.ID) bool {
 // members of that key that are comparable to it under the index's kind
 // (S1, sorted ascending). The returned collection is always CleanClean-
 // shaped — S0×S1 enumeration — regardless of the index kind, because the
-// frontier is inherently bipartite: id against everyone else. Feeding it to
-// a CompareIterator enumerates each candidate pair of id exactly once
-// (first key wins), which is the delta comparison schedule of an insert or
-// update.
+// frontier is inherently bipartite: id against everyone else. The distinct
+// S1 members are the candidates of id's delta comparison schedule on an
+// insert or update; a candidate under several keys is compared once.
 func (bi *BlockIndex) DeltaBlocks(id entity.ID) *Blocks {
 	out := NewBlocks(entity.CleanClean)
 	keys, live := bi.keys[id]

@@ -2,9 +2,10 @@
 // techniques that take a blocking collection and discard comparisons that
 // cannot or are unlikely to produce matches, without looking at the
 // descriptions themselves. It covers block purging (dropping oversized
-// blocks), block filtering (retaining each description only in its most
-// selective blocks) and comparison propagation (suppressing redundant
-// comparisons repeated across overlapping blocks).
+// blocks) and block filtering (retaining each description only in its most
+// selective blocks). Comparison propagation, which suppresses redundant
+// comparisons repeated across overlapping blocks, happens in the batch
+// matcher's neighbourhood walk (matching.ResolveBlocksParallel).
 package blockproc
 
 import (

@@ -183,46 +183,3 @@ func TestChain(t *testing.T) {
 		t.Fatalf("chain name = %q", name)
 	}
 }
-
-func TestPropagatorLeastCommonBlock(t *testing.T) {
-	bs := blocking.NewBlocks(entity.Dirty)
-	bs.Add(&blocking.Block{Key: "a", S0: []entity.ID{1, 2}})
-	bs.Add(&blocking.Block{Key: "b", S0: []entity.ID{1, 2, 3}})
-	p := NewPropagator(bs)
-	if got := p.LeastCommonBlock(1, 2); got != 0 {
-		t.Fatalf("LeCoBI(1,2) = %d", got)
-	}
-	if got := p.LeastCommonBlock(2, 3); got != 1 {
-		t.Fatalf("LeCoBI(2,3) = %d", got)
-	}
-	if got := p.LeastCommonBlock(1, 99); got != -1 {
-		t.Fatalf("LeCoBI(1,99) = %d", got)
-	}
-	if !p.ShouldCompare(0, 1, 2) || p.ShouldCompare(1, 1, 2) {
-		t.Fatal("ShouldCompare wrong")
-	}
-}
-
-func TestEachNonRedundantMatchesDistinctPairs(t *testing.T) {
-	bs := blocking.NewBlocks(entity.Dirty)
-	bs.Add(&blocking.Block{Key: "a", S0: []entity.ID{1, 2, 3}})
-	bs.Add(&blocking.Block{Key: "b", S0: []entity.ID{2, 3, 4}})
-	bs.Add(&blocking.Block{Key: "c", S0: []entity.ID{1, 4}})
-	want := bs.DistinctPairs()
-	got := entity.NewPairSet(0)
-	EachNonRedundant(bs, func(_ int, p entity.Pair) bool {
-		if !got.Add(p.A, p.B) {
-			t.Fatalf("pair %v enumerated twice", p)
-		}
-		return true
-	})
-	if got.Len() != want.Len() {
-		t.Fatalf("non-redundant pairs = %d, want %d", got.Len(), want.Len())
-	}
-	// Early stop.
-	n := 0
-	EachNonRedundant(bs, func(int, entity.Pair) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}

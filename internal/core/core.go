@@ -13,9 +13,10 @@
 // per-shard inverted indexes merged in ID order (blocking.BuildSharded);
 // meta-blocking weighs and prunes the blocking graph record by record,
 // the workers claiming ranges of records
-// (metablocking.RestructureParallel); matching fans comparisons out to a
-// worker pool fed by a streaming blocking.CompareIterator, so the
-// distinct-pair list is never materialized; progressive runs execute
+// (metablocking.RestructureParallel); matching walks the record
+// neighbourhoods of the same kind of entity index, comparing each distinct
+// pair once, so no pair list or pair set is ever built
+// (matching.ResolveBlocksParallel); progressive runs execute
 // wave-synchronously under an exact comparison budget
 // (progressive.RunParallel). Run is RunWorkers at one worker, where each of
 // those calls runs its sequential building block.
@@ -377,7 +378,7 @@ func (p *Pipeline) RunWorkers(ctx context.Context, c *entity.Collection, workers
 	}
 
 	// Planning phase: block cleaning (cheap, sequential) + meta-blocking
-	// (edge weighting sharded over the block list).
+	// (node-centric, the workers claiming ranges of records).
 	if len(p.Processors) > 0 {
 		if err := phase("block-cleaning", func() error {
 			bs = blockproc.Chain(p.Processors).Process(bs)

@@ -353,7 +353,10 @@ func E8CollectiveER(scale Scale, seed int64) (*Result, error) {
 	res := newResult(evaluation.NewTable(
 		"E8: collective (relationship-based) vs attribute-only resolution",
 		"method", "precision", "recall", "F1", "comparisons"))
-	bl := matching.ResolvePairs(c, cands, &matching.Matcher{Sim: base, Threshold: threshold})
+	bl, err := matching.ResolvePairs(context.Background(), c, cands, &matching.Matcher{Sim: base, Threshold: threshold}, 1)
+	if err != nil {
+		return nil, err
+	}
 	pb := evaluation.ComparePairs(bl.Matches, gt)
 	res.Table.AddRow("attribute-only", pb.Precision, pb.Recall, pb.F1, bl.Comparisons)
 	co := &iterative.Collective{Base: base, Alpha: 0.3, Threshold: threshold}

@@ -2,9 +2,7 @@ package incremental
 
 import (
 	"context"
-	"fmt"
 
-	"entityres/internal/blocking"
 	"entityres/internal/entity"
 	"entityres/internal/graph"
 	"entityres/internal/matching"
@@ -148,19 +146,7 @@ func evaluateFresh(ctx context.Context, coll *entity.Collection, m *matching.Mat
 	if len(fresh) == 0 {
 		return 0, nil, nil
 	}
-	frontier := blocking.NewBlocks(entity.CleanClean)
-	for _, p := range fresh {
-		frontier.Add(&blocking.Block{
-			Key: fmt.Sprintf("meta:%d-%d", p.A, p.B),
-			S0:  []entity.ID{p.A},
-			S1:  []entity.ID{p.B},
-		})
-	}
-	// Small frontiers skip the worker pool, mirroring index().
-	if frontier.TotalComparisons() < sequentialDeltaMax {
-		workers = 1
-	}
-	out, err := matching.ResolveBlocksParallel(ctx, coll, frontier, m, workers)
+	out, err := matching.ResolvePairs(ctx, coll, fresh, m, workers)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -7,10 +7,10 @@
 // This is the paper's §III iteration model pushed to its serving-time
 // conclusion: the comparison "queue" is re-derived per operation from the
 // blocks the operation changed (the delta frontier of
-// blocking.BlockIndex.DeltaBlocks), matcher execution reuses the batch
-// engine's worker pool (matching.ResolveBlocksParallel over a streaming
-// blocking.CompareIterator), and the match graph and its connected
-// components are maintained by graph.Dynamic with targeted recomputation.
+// blocking.BlockIndex.DeltaBlocks), the frontier's distinct pairs go to the
+// matcher's pair entry point (matching.ResolvePairs), and the match graph
+// and its connected components are maintained by graph.Dynamic with
+// targeted recomputation.
 //
 // The Resolver's contract is differential equivalence: after any sequence
 // of operations, its match set and clusters are identical to a from-scratch
@@ -36,6 +36,7 @@ package incremental
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,7 +86,7 @@ type Config struct {
 	// function of the descriptions' current attributes and must not retain
 	// them; it is not captured by snapshots, so a resolver recovered by
 	// OpenResolver must be configured with an identical filter or replay
-	// diverges. The claim function is only used until filterDelta returns,
+	// diverges. The claim function is only used until deltaPairs returns,
 	// from one goroutine. Nil evaluates every suggested pair (the
 	// single-node behavior).
 	DeltaFilter func(d *entity.Description) func(key string, other *entity.Description) bool
@@ -586,18 +587,7 @@ func (r *Resolver) index(id entity.ID) error {
 		r.metaDirty = true
 		return nil
 	}
-	delta := r.blocks.DeltaBlocks(id)
-	if r.cfg.DeltaFilter != nil {
-		delta = r.filterDelta(d, delta)
-	}
-	// Small frontiers skip the worker pool: a pool spin-up costs more than
-	// matching a handful of pairs, and most per-op deltas are far below one
-	// scheduling chunk.
-	workers := r.cfg.Workers
-	if delta.TotalComparisons() < sequentialDeltaMax {
-		workers = 1
-	}
-	out, err := matching.ResolveBlocksParallel(context.Background(), r.coll, delta, r.cfg.Matcher, workers)
+	out, err := matching.ResolvePairs(context.Background(), r.coll, r.deltaPairs(id, d), r.cfg.Matcher, r.cfg.Workers)
 	if err != nil {
 		return fmt.Errorf("incremental: delta matching: %w", err)
 	}
@@ -609,35 +599,30 @@ func (r *Resolver) index(id entity.ID) error {
 	return nil
 }
 
-// filterDelta rebuilds d's comparison frontier keeping only the candidates
-// the configured DeltaFilter claims for this resolver. The frontier keeps
-// DeltaBlocks' shape — one CleanClean block per key, candidates ascending —
-// so the downstream dedup and ordering behavior is unchanged; blocks whose
-// candidates are all claimed elsewhere are dropped like any comparison-free
-// block. Callers hold r.mu.
-func (r *Resolver) filterDelta(d *entity.Description, delta *blocking.Blocks) *blocking.Blocks {
-	claim := r.cfg.DeltaFilter(d)
-	out := blocking.NewBlocks(entity.CleanClean)
-	for _, b := range delta.All() {
-		var kept []entity.ID
+// deltaPairs returns d's comparison frontier as pairs: id against each
+// distinct candidate of its delta blocks, ascending, keeping only the
+// candidates the configured DeltaFilter claims for this resolver under at
+// least one key. Callers hold r.mu.
+func (r *Resolver) deltaPairs(id entity.ID, d *entity.Description) []entity.Pair {
+	var claim func(string, *entity.Description) bool
+	if r.cfg.DeltaFilter != nil {
+		claim = r.cfg.DeltaFilter(d)
+	}
+	var others []entity.ID
+	for _, b := range r.blocks.DeltaBlocks(id).All() {
 		for _, other := range b.S1 {
-			if claim(b.Key, r.coll.Get(other)) {
-				kept = append(kept, other)
+			if claim == nil || claim(b.Key, r.coll.Get(other)) {
+				others = append(others, other)
 			}
 		}
-		if len(kept) == 0 {
-			continue
-		}
-		out.Add(&blocking.Block{Key: b.Key, S0: b.S0, S1: kept})
 	}
-	return out
+	slices.Sort(others)
+	pairs := make([]entity.Pair, 0, len(others))
+	for _, other := range slices.Compact(others) {
+		pairs = append(pairs, entity.NewPair(id, other))
+	}
+	return pairs
 }
-
-// sequentialDeltaMax is the frontier size (suggested comparisons,
-// redundancy included) below which delta matching runs sequentially even
-// when the resolver has a worker budget; it matches the matcher pool's
-// chunk size, the point where fan-out can begin to pay for itself.
-const sequentialDeltaMax = 256
 
 // rlock takes the shared lock for a read that needs no reconcile. The
 // caller must release with r.mu.RUnlock.

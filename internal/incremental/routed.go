@@ -266,8 +266,7 @@ func (r *Resolver) EachDeltaCandidate(id entity.ID, fn func(other entity.ID, cla
 	for _, b := range r.blocks.DeltaBlocks(id).All() {
 		for _, other := range b.S1 {
 			// A candidate appears under every shared key; its claim key is
-			// the smallest — the "first key wins" dedup of CompareIterator
-			// and the shard claim filters alike.
+			// the smallest, as in the shard claim filters.
 			if fs, ok := firstSharedSorted(keys, r.blocks.Keys(other)); !ok || fs != b.Key {
 				continue
 			}

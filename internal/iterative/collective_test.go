@@ -1,6 +1,7 @@
 package iterative
 
 import (
+	"context"
 	"testing"
 
 	"entityres/internal/blocking"
@@ -58,7 +59,7 @@ func TestCollectiveResolvesViaRelations(t *testing.T) {
 		t.Fatal("building pair must match via relational evidence")
 	}
 	// Attribute-only baseline misses the buildings.
-	baseOnly := matching.ResolvePairs(c, candidates, &matching.Matcher{Sim: base, Threshold: 0.3})
+	baseOnly, _ := matching.ResolvePairs(context.Background(), c, candidates, &matching.Matcher{Sim: base, Threshold: 0.3}, 1)
 	if baseOnly.Matches.Contains(1, 3) {
 		t.Fatal("precondition: attribute-only should miss the building pair")
 	}
@@ -98,7 +99,7 @@ func TestCollectiveOnBibliographic(t *testing.T) {
 	}
 	base := &matching.TokenJaccard{Profiler: prof}
 	const threshold = 0.55
-	baseline := matching.ResolvePairs(c, candidates, &matching.Matcher{Sim: base, Threshold: threshold})
+	baseline, _ := matching.ResolvePairs(context.Background(), c, candidates, &matching.Matcher{Sim: base, Threshold: threshold}, 1)
 	co := &Collective{Base: base, Alpha: 0.3, Threshold: threshold}
 	collective := co.Resolve(c, candidates)
 	prfBase := evaluation.ComparePairs(baseline.Matches, gt)

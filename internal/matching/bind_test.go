@@ -102,15 +102,21 @@ func sameResult(t *testing.T, label string, got, want Result) {
 }
 
 // executors returns every resolve entry point the matcher layer offers,
-// bound to the same input: ResolveBlocks, ResolvePairs over the oracle's
-// pairs, and ResolveBlocksParallel at several worker counts (0 means
-// GOMAXPROCS).
+// bound to the same input: ResolveBlocks, and ResolvePairs over the
+// oracle's pairs and ResolveBlocksParallel at several worker counts (0
+// means GOMAXPROCS).
 func executors(t *testing.T, c *entity.Collection, bs *blocking.Blocks, pairs []entity.Pair, m *Matcher) map[string]func() Result {
 	out := map[string]func() Result{
 		"ResolveBlocks": func() Result { return ResolveBlocks(c, bs, m) },
-		"ResolvePairs":  func() Result { return ResolvePairs(c, pairs, m) },
 	}
 	for _, w := range []int{1, 2, 4, 0} {
+		out[fmt.Sprintf("ResolvePairs/workers=%d", w)] = func() Result {
+			res, err := ResolvePairs(context.Background(), c, pairs, m, w)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			return res
+		}
 		out[fmt.Sprintf("ResolveBlocksParallel/workers=%d", w)] = func() Result {
 			res, err := ResolveBlocksParallel(context.Background(), c, bs, m, w)
 			if err != nil {

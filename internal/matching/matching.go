@@ -9,7 +9,6 @@ package matching
 import (
 	"context"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 
@@ -220,70 +219,99 @@ type Result struct {
 }
 
 // ResolveBlocks executes the matcher over every distinct comparison of bs.
-// It is ResolveBlocksParallel at one worker: the same streaming resolve
-// loop, without the worker pool.
+// It is ResolveBlocksParallel at one worker: the same neighbourhood walk,
+// run inline.
 func ResolveBlocks(c *entity.Collection, bs *blocking.Blocks, m *Matcher) Result {
 	res, _ := ResolveBlocksParallel(context.Background(), c, bs, m, 1)
 	return res
 }
 
-// ResolvePairs executes the matcher over an explicit pair list.
-func ResolvePairs(c *entity.Collection, pairs []entity.Pair, m *Matcher) Result {
-	res := Result{Matches: entity.NewMatches()}
-	match := m.bind(c, func(yield func(entity.ID) bool) {
-		for _, p := range pairs {
-			if !yield(p.A) || !yield(p.B) {
-				return
-			}
-		}
-	})
-	for _, p := range pairs {
-		res.Comparisons++
-		if match(p.A, p.B) {
-			res.Matches.Add(p.A, p.B)
-		}
-	}
-	return res
-}
-
-// bind returns m's decision for one resolve call whose pairs draw only on
-// the records that members yields. For TokenJaccard and TokenContainment it
-// tokenizes each distinct member once into a sorted, duplicate-free row and
-// decides a pair by merging the two rows, which gives exactly Sim's value
-// because the intersection and set sizes are the same. The rows live only
-// for the call, and the ID → row map is sized by the members, never by the
-// collection. Every other similarity, including types that embed the two
-// and override Sim, is called through Match on the descriptions.
-func (m *Matcher) bind(c *entity.Collection, members iter.Seq[entity.ID]) func(a, b entity.ID) bool {
-	var prof *token.Profiler
-	var kernel func(a, b []string) float64
+// rowForm returns the profiler and the sorted-row kernel that decide m's
+// similarity exactly, or ok=false when m.Sim has none. Only the concrete
+// types TokenJaccard and TokenContainment have one: a row merge gives
+// exactly Sim's value because the intersection and set sizes are the same.
+// Types that embed the two and override Sim are different concrete types.
+func (m *Matcher) rowForm() (prof *token.Profiler, kernel func(a, b []string) float64, ok bool) {
 	switch s := m.Sim.(type) {
 	case *TokenJaccard:
 		prof, kernel = s.Profiler, similarity.JaccardSorted
 	case *TokenContainment:
 		prof, kernel = s.Profiler, similarity.OverlapSorted
 	default:
-		return func(a, b entity.ID) bool {
-			ok, _ := m.Match(c.Get(a), c.Get(b))
-			return ok
-		}
+		return nil, nil, false
 	}
 	if prof == nil {
 		prof = token.DefaultProfiler()
 	}
+	return prof, kernel, true
+}
+
+// tokenRow returns d's distinct tokens, sorted.
+func tokenRow(prof *token.Profiler, d *entity.Description) []string {
+	row := prof.Tokens(d)
+	slices.Sort(row)
+	return slices.Compact(row)
+}
+
+// describe is the decision of a similarity without a row form: Match on
+// the two descriptions.
+func (m *Matcher) describe(c *entity.Collection) func(a, b entity.ID) bool {
+	return func(a, b entity.ID) bool {
+		ok, _ := m.Match(c.Get(a), c.Get(b))
+		return ok
+	}
+}
+
+// bind returns m's decision for one resolve call over pairs. For a
+// similarity with a row form (see rowForm) it tokenizes each distinct
+// member of the pairs once into a sorted, duplicate-free row and decides a
+// pair by merging the two rows. The rows live only for the call, and the
+// ID → row map is sized by the members, never by the collection. Every
+// other similarity is called through Match on the descriptions.
+func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair) func(a, b entity.ID) bool {
+	prof, kernel, ok := m.rowForm()
+	if !ok {
+		return m.describe(c)
+	}
 	slot := make(map[entity.ID]int)
 	var rows [][]string
-	for id := range members {
-		if _, ok := slot[id]; ok {
-			continue
+	for _, p := range pairs {
+		for _, id := range [2]entity.ID{p.A, p.B} {
+			if _, ok := slot[id]; !ok {
+				slot[id] = len(rows)
+				rows = append(rows, tokenRow(prof, c.Get(id)))
+			}
 		}
-		slot[id] = len(rows)
-		row := prof.Tokens(c.Get(id))
-		slices.Sort(row)
-		rows = append(rows, slices.Compact(row))
 	}
 	threshold := m.Threshold
 	return func(a, b entity.ID) bool {
 		return kernel(rows[slot[a]], rows[slot[b]]) >= threshold
 	}
+}
+
+// bindIndex is bind over the records of an entity index. The rows are
+// dense, indexed by ID, so deciding a pair costs no map lookup; the index's
+// density guard bounds their number. The workers tokenize chunks of records
+// in parallel. On cancellation it returns ctx.Err() once every worker has
+// stopped.
+func (m *Matcher) bindIndex(ctx context.Context, c *entity.Collection, ix *blocking.EntityIndex, workers, chunk int) (func(a, b entity.ID) bool, error) {
+	prof, kernel, ok := m.rowForm()
+	if !ok {
+		return m.describe(c), nil
+	}
+	rows := make([][]string, ix.Records())
+	err := forChunks(ctx, len(rows), workers, chunk, func(_, lo, hi int) {
+		for id := lo; id < hi; id++ {
+			if ix.BlocksPer(id) > 0 {
+				rows[id] = tokenRow(prof, c.Get(id))
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	threshold := m.Threshold
+	return func(a, b entity.ID) bool {
+		return kernel(rows[a], rows[b]) >= threshold
+	}, nil
 }

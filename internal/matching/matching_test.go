@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -112,7 +113,10 @@ func TestResolveBlocks(t *testing.T) {
 func TestResolvePairs(t *testing.T) {
 	c, _, _ := twoPeople(t)
 	m := &Matcher{Sim: &TokenJaccard{}, Threshold: 0.8}
-	res := ResolvePairs(c, []entity.Pair{entity.NewPair(0, 1), entity.NewPair(0, 2)}, m)
+	res, err := ResolvePairs(context.Background(), c, []entity.Pair{entity.NewPair(0, 1), entity.NewPair(0, 2)}, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Comparisons != 2 || res.Matches.Len() != 1 {
 		t.Fatalf("result = %+v", res)
 	}

@@ -2,7 +2,6 @@ package matching
 
 import (
 	"context"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,147 +10,182 @@ import (
 	"entityres/internal/entity"
 )
 
-// compareChunk is how many pairs travel per channel send: large enough to
-// amortize channel synchronization, small enough to keep workers balanced
-// on skewed block-size distributions.
-const compareChunk = 256
+// recordChunk caps the number of consecutive records a worker claims at a
+// time, both when binding rows and when walking neighbourhoods.
+const recordChunk = 64
+
+// pairChunk is the number of pairs of an explicit list a worker claims at a
+// time: large enough to amortize the claim, small enough to keep workers
+// balanced. A list shorter than one chunk runs inline.
+const pairChunk = 256
 
 // ResolveBlocksParallel executes the matcher over every distinct comparison
-// of bs using a pool of concurrent workers fed by a streaming
-// CompareIterator — pairs are never materialized as one slice. The match
-// output is identical to ResolveBlocks for any worker count, because a
-// thresholded match decision depends only on the pair, never on execution
-// order. The matcher's similarity must be safe for concurrent use (every
-// similarity in this package is).
+// of bs with a pool of workers (<= 0 means GOMAXPROCS; one worker runs
+// inline, without goroutines). The match set and the comparison count do
+// not depend on the worker count or the schedule: they equal a Match loop
+// over blocking.NewCompareIterator(bs). The matcher's similarity must be
+// safe for concurrent use (every similarity in this package is).
 //
-// When ctx is cancelled the stream stops early and the partial result is
-// returned together with ctx.Err(). workers <= 0 means GOMAXPROCS.
+// Redundant comparisons are removed node-centrically, over the entity
+// index of bs (blocking.IndexBlocks), with no pair set and no producer
+// goroutine. Workers claim chunks of records; for a record x a worker walks
+// x's blocks in order and compares each distinct partner y once, marking y
+// in its own stamp array: y > x in a dirty collection, every S1 partner of
+// an S0 record in a clean-clean one. Token measures read dense per-record
+// rows the workers build first (see bindIndex). Block collections outside
+// the index's domain stream through a CompareIterator into ResolvePairs.
+//
+// ctx is checked before every chunk; when it is cancelled the partial
+// result is returned together with ctx.Err().
 func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocking.Blocks, m *Matcher, workers int) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if err := ctx.Err(); err != nil {
+		return Result{Matches: entity.NewMatches()}, err
+	}
+	ix, ok := blocking.IndexBlocks(bs)
+	if !ok {
+		var pairs []entity.Pair
+		bs.EachDistinctComparison(func(p entity.Pair) bool {
+			pairs = append(pairs, p)
+			return true
+		})
+		return ResolvePairs(ctx, c, pairs, m, workers)
+	}
+	n := ix.Records()
+	workers = poolSize(workers, n)
+	chunk := max(1, min(recordChunk, n/(4*workers)))
+	match, err := m.bindIndex(ctx, c, ix, workers, chunk)
+	if err != nil {
+		return Result{Matches: entity.NewMatches()}, err
+	}
+	shares := make([]share, workers)
+	err = forChunks(ctx, n, workers, chunk, func(w, lo, hi int) {
+		s := &shares[w]
+		if s.stamp == nil {
+			s.stamp = make([]int32, n)
+		}
+		for x := lo; x < hi; x++ {
+			s.walk(ix, x, match)
+		}
+	})
+	return merge(shares), err
+}
+
+// ResolvePairs executes the matcher over an explicit pair list, once per
+// listed pair, with a pool of workers claiming chunks of the list (<= 0
+// means GOMAXPROCS; a list of at most one chunk runs inline). It is the
+// entry point of the streaming resolvers, whose pairs are a few per
+// operation: token rows are bound through a map sized by the pairs'
+// members, never by the collection. When ctx is cancelled the partial
+// result is returned together with ctx.Err().
+func ResolvePairs(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{Matches: entity.NewMatches()}, err
 	}
-	match := m.bind(c, blockMembers(bs))
-	if workers == 1 {
-		return resolveIteratorSequential(ctx, bs, match)
-	}
-
-	pairsCh := make(chan []entity.Pair, workers*2)
-	matchedCh := make(chan []entity.Pair, workers*2)
-	var comparisons atomic.Int64
-
-	// Producer: pull from the streaming iterator, ship fixed-size chunks.
-	go func() {
-		defer close(pairsCh)
-		it := blocking.NewCompareIterator(bs)
-		chunk := make([]entity.Pair, 0, compareChunk)
-		flush := func() bool {
-			if len(chunk) == 0 {
-				return true
-			}
-			// Check ctx before the select: when both cases are ready the
-			// select would pick at random, letting a cancelled producer
-			// keep streaming.
-			if ctx.Err() != nil {
-				return false
-			}
-			select {
-			case pairsCh <- chunk:
-				comparisons.Add(int64(len(chunk)))
-				chunk = make([]entity.Pair, 0, compareChunk)
-				return true
-			case <-ctx.Done():
-				return false
+	workers = poolSize(workers, (len(pairs)+pairChunk-1)/pairChunk)
+	match := m.bind(c, pairs)
+	shares := make([]share, workers)
+	err := forChunks(ctx, len(pairs), workers, pairChunk, func(w, lo, hi int) {
+		s := &shares[w]
+		for _, p := range pairs[lo:hi] {
+			s.comparisons++
+			if match(p.A, p.B) {
+				s.hits = append(s.hits, p)
 			}
 		}
-		for {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, p)
-			if len(chunk) == compareChunk && !flush() {
-				return
-			}
-		}
-		flush()
-	}()
-
-	// Workers: match each chunk, forward the positives.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range pairsCh {
-				var hits []entity.Pair
-				for _, p := range chunk {
-					if match(p.A, p.B) {
-						hits = append(hits, p)
-					}
-				}
-				if len(hits) > 0 {
-					matchedCh <- hits
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(matchedCh)
-	}()
-
-	// Collector (this goroutine): fold positives into the match set.
-	res := Result{Matches: entity.NewMatches()}
-	for hits := range matchedCh {
-		for _, p := range hits {
-			res.Matches.Add(p.A, p.B)
-		}
-	}
-	res.Comparisons = comparisons.Load()
-	return res, ctx.Err()
+	})
+	return merge(shares), err
 }
 
-// resolveIteratorSequential is the workers==1 path: same streaming iterator
-// and cancellation semantics, no goroutines.
-func resolveIteratorSequential(ctx context.Context, bs *blocking.Blocks, match func(a, b entity.ID) bool) (Result, error) {
-	res := Result{Matches: entity.NewMatches()}
-	it := blocking.NewCompareIterator(bs)
-	for {
-		if res.Comparisons%compareChunk == 0 && ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		p, ok := it.Next()
-		if !ok {
-			return res, nil
-		}
-		res.Comparisons++
-		if match(p.A, p.B) {
-			res.Matches.Add(p.A, p.B)
-		}
+// poolSize resolves a worker count (<= 0 means GOMAXPROCS) against the
+// number of work units: never more workers than units, never fewer than
+// one.
+func poolSize(workers, units int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	return max(1, min(workers, units))
 }
 
-// blockMembers yields the members of every block of bs that suggests at
-// least one comparison: the records a resolve over bs can touch.
-func blockMembers(bs *blocking.Blocks) iter.Seq[entity.ID] {
-	return func(yield func(entity.ID) bool) {
-		for _, b := range bs.All() {
-			if b.Comparisons(bs.Kind()) == 0 {
+// share is one worker's part of a resolve.
+type share struct {
+	// stamp[y] is x+1 once the walk of record x has compared y.
+	stamp       []int32
+	comparisons int64
+	hits        []entity.Pair
+}
+
+// walk compares record x with each of its distinct partners once.
+func (s *share) walk(ix *blocking.EntityIndex, x int, match func(a, b entity.ID) bool) {
+	if ix.Clean && ix.Side[x] != 1 {
+		return
+	}
+	mark := int32(x + 1)
+	for _, b := range ix.BlocksOf(x) {
+		for _, y := range ix.Partners(x, b) {
+			if (!ix.Clean && y <= x) || s.stamp[y] == mark {
 				continue
 			}
-			for _, side := range [2][]entity.ID{b.S0, b.S1} {
-				for _, id := range side {
-					if !yield(id) {
-						return
-					}
-				}
+			s.stamp[y] = mark
+			s.comparisons++
+			// Decide in canonical order, as the CompareIterator oracle does.
+			p := entity.NewPair(x, y)
+			if match(p.A, p.B) {
+				s.hits = append(s.hits, p)
 			}
 		}
 	}
+}
+
+// merge folds the workers' shares into one result.
+func merge(shares []share) Result {
+	res := Result{Matches: entity.NewMatches()}
+	for _, s := range shares {
+		res.Comparisons += s.comparisons
+		for _, p := range s.hits {
+			res.Matches.Add(p.A, p.B)
+		}
+	}
+	return res
+}
+
+// forChunks runs fn over the items [0, n) in chunks of at most chunk items,
+// workers claiming chunks until none is left or ctx is done; fn receives
+// the claiming worker's index. One worker runs inline on the calling
+// goroutine. A claimed chunk always runs to its end, and forChunks returns
+// only after every worker has stopped. It reports ctx.Err() when a chunk
+// was left unclaimed.
+func forChunks(ctx context.Context, n, workers, chunk int, fn func(w, lo, hi int)) error {
+	var next atomic.Int64
+	claim := func(w int) {
+		for ctx.Err() == nil {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
+				return
+			}
+			fn(w, lo, min(lo+chunk, n))
+		}
+	}
+	if workers == 1 {
+		claim(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				claim(w)
+			}()
+		}
+		wg.Wait()
+	}
+	if next.Load() < int64(n) {
+		return ctx.Err()
+	}
+	return nil
 }

@@ -29,10 +29,8 @@ import (
 // and every pruning scheme decides an edge from per-record figures
 // gathered in one earlier pass: neighbourhood means for WNP, k-th cutoffs
 // for CNP, the exact global mean for WEP; CEP sorts all edges. Block
-// collections outside the kernel's domain (repeated members in a block, a
-// record on both sides of a clean-clean collection, a block that suggests
-// no comparison, negative or very sparse IDs, unknown schemes) take the
-// graph path instead.
+// collections outside the entity index's domain (see blocking.IndexBlocks)
+// and unknown schemes take the graph path instead.
 func (m *MetaBlocker) RestructureParallel(c *entity.Collection, bs *blocking.Blocks, workers int) *blocking.Blocks {
 	kept, ok := m.keptEdges(bs, workers)
 	if !ok {
@@ -41,88 +39,9 @@ func (m *MetaBlocker) RestructureParallel(c *entity.Collection, bs *blocking.Blo
 	return EmitKept(c, bs.Kind(), kept)
 }
 
-// entityIndex is the CSR entity index of a block collection: record i's
-// block ids, ascending, are blk[off[i]:off[i+1]], so its block count is
-// off[i+1]-off[i]. Records are indexed densely up to the largest member ID.
-type entityIndex struct {
-	blocks []*blocking.Block
-	clean  bool
-	off    []int32
-	blk    []int32
-	// side is a clean-clean record's side: 1 for S0, 2 for S1, 0 for a
-	// record in no block (nil when dirty).
-	side []uint8
-}
-
-func (ix *entityIndex) records() int { return len(ix.off) - 1 }
-
-// blocksPer returns the number of blocks containing record i (|B_i|).
-func (ix *entityIndex) blocksPer(i int) int { return int(ix.off[i+1] - ix.off[i]) }
-
-// indexBlocks builds the entity index in two passes over bs, or reports
-// false when bs lies outside the kernel's domain (see RestructureParallel).
-func indexBlocks(bs *blocking.Blocks) (*entityIndex, bool) {
-	blocks := bs.All()
-	clean := bs.Kind() == entity.CleanClean
-	var count []int32
-	assignments := 0
-	for _, b := range blocks {
-		if b.Comparisons(bs.Kind()) == 0 || (!clean && len(b.S1) > 0) {
-			return nil, false
-		}
-		for _, side := range [2][]entity.ID{b.S0, b.S1} {
-			for _, id := range side {
-				if id < 0 || id >= math.MaxInt32 {
-					return nil, false
-				}
-				if id >= len(count) {
-					count = append(count, make([]int32, id+1-len(count))...)
-				}
-				count[id]++
-			}
-			assignments += len(side)
-		}
-	}
-	// A dense index over a few members with huge IDs would cost more than
-	// the graph it replaces.
-	if assignments >= math.MaxInt32 || len(count) > 4*assignments+1024 {
-		return nil, false
-	}
-	ix := &entityIndex{blocks: blocks, clean: clean, off: make([]int32, len(count)+1), blk: make([]int32, assignments)}
-	for i, n := range count {
-		ix.off[i+1] = ix.off[i] + n
-	}
-	next := count // reused as each record's fill cursor
-	copy(next, ix.off[:len(count)])
-	if clean {
-		ix.side = make([]uint8, len(count))
-	}
-	for bi, b := range blocks {
-		for side, ids := range [2][]entity.ID{b.S0, b.S1} {
-			for _, id := range ids {
-				at := next[id]
-				// Blocks are filled in ascending order, so a repeated member
-				// of this block is the record's previous entry.
-				if at > ix.off[id] && ix.blk[at-1] == int32(bi) {
-					return nil, false
-				}
-				if clean {
-					if ix.side[id] != 0 && ix.side[id] != uint8(side+1) {
-						return nil, false
-					}
-					ix.side[id] = uint8(side + 1)
-				}
-				ix.blk[at] = int32(bi)
-				next[id] = at + 1
-			}
-		}
-	}
-	return ix, true
-}
-
 // kernel evaluates one MetaBlocker configuration over an entity index.
 type kernel struct {
-	*entityIndex
+	*blocking.EntityIndex
 	weight WeightScheme
 	// fac is the per-record log factor: log(|B|/|B_i|) for ECBS,
 	// log(|E|/deg_i) for EJS.
@@ -161,16 +80,16 @@ func (m *MetaBlocker) keptEdges(bs *blocking.Blocks, workers int) ([]graph.Edge,
 	if m.Weight < CBS || m.Weight > ARCS || m.Prune < WEP || m.Prune > CNP {
 		return nil, false
 	}
-	ix, ok := indexBlocks(bs)
+	ix, ok := blocking.IndexBlocks(bs)
 	if !ok {
 		return nil, false
 	}
-	n := ix.records()
+	n := ix.Records()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, n))
-	k := &kernel{entityIndex: ix, weight: m.Weight, work: make([]*scratch, workers),
+	k := &kernel{EntityIndex: ix, weight: m.Weight, work: make([]*scratch, workers),
 		chunk: max(1, min(maxChunk, n/(4*workers)))}
 	for w := range k.work {
 		s := &scratch{cbs: make([]int32, n)}
@@ -181,18 +100,18 @@ func (m *MetaBlocker) keptEdges(bs *blocking.Blocks, workers int) ([]graph.Edge,
 	}
 	switch m.Weight {
 	case ECBS:
-		nb := float64(len(ix.blocks))
+		nb := float64(len(ix.Blocks))
 		k.fac = make([]float64, n)
 		for i := range k.fac {
-			if bp := ix.blocksPer(i); bp > 0 {
+			if bp := ix.BlocksPer(i); bp > 0 {
 				k.fac[i] = math.Log(nb / float64(bp))
 			}
 		}
 	case EJS:
 		k.fac = k.degreeFactors()
 	case ARCS:
-		k.inv = make([]float64, len(ix.blocks))
-		for b, blk := range ix.blocks {
+		k.inv = make([]float64, len(ix.Blocks))
+		for b, blk := range ix.Blocks {
 			k.inv[b] = 1 / float64(blk.Comparisons(bs.Kind()))
 		}
 	}
@@ -200,7 +119,7 @@ func (m *MetaBlocker) keptEdges(bs *blocking.Blocks, workers int) ([]graph.Edge,
 	case WEP:
 		return k.wep(), true
 	case CEP:
-		return k.cep(m.cepBudget(len(ix.blk))), true
+		return k.cep(m.cepBudget(len(ix.Blk))), true
 	case WNP:
 		return k.wnp(m.Reciprocal), true
 	default:
@@ -208,11 +127,11 @@ func (m *MetaBlocker) keptEdges(bs *blocking.Blocks, workers int) ([]graph.Edge,
 		// graph's nodes are the records with a block.
 		nodes := 0
 		for i := 0; i < n; i++ {
-			if ix.blocksPer(i) > 0 {
+			if ix.BlocksPer(i) > 0 {
 				nodes++
 			}
 		}
-		return k.cnp(cnpK(len(ix.blk), nodes), m.Reciprocal), true
+		return k.cnp(cnpK(len(ix.Blk), nodes), m.Reciprocal), true
 	}
 }
 
@@ -236,7 +155,7 @@ func (k *kernel) perWorker(fn func(s *scratch)) {
 // each runs fn on every record, the workers claiming chunks of records
 // until none are left.
 func (k *kernel) each(fn func(s *scratch, i int)) {
-	n := k.records()
+	n := k.Records()
 	var next atomic.Int64
 	k.perWorker(func(s *scratch) {
 		for {
@@ -300,12 +219,8 @@ func (k *kernel) gather() []graph.Edge {
 // caller must release the neighbourhood before walking the next one.
 func (k *kernel) neighbours(s *scratch, i, above int) []int32 {
 	s.touched = s.touched[:0]
-	for _, b := range k.blk[k.off[i]:k.off[i+1]] {
-		blk := k.blocks[b]
-		partners := blk.S0
-		if k.clean && k.side[i] == 1 {
-			partners = blk.S1
-		}
+	for _, b := range k.BlocksOf(i) {
+		partners := k.Partners(i, b)
 		if s.arcs == nil {
 			for _, j := range partners {
 				if j <= above || j == i {
@@ -355,9 +270,9 @@ func (k *kernel) weightOf(s *scratch, i, j int) float64 {
 	case ECBS:
 		return float64(s.cbs[j]) * k.fac[a] * k.fac[b]
 	case JS:
-		return js(int(s.cbs[j]), k.blocksPer(a), k.blocksPer(b))
+		return js(int(s.cbs[j]), k.BlocksPer(a), k.BlocksPer(b))
 	case EJS:
-		return js(int(s.cbs[j]), k.blocksPer(a), k.blocksPer(b)) * k.fac[a] * k.fac[b]
+		return js(int(s.cbs[j]), k.BlocksPer(a), k.BlocksPer(b)) * k.fac[a] * k.fac[b]
 	default:
 		return s.arcs[j]
 	}
@@ -366,7 +281,7 @@ func (k *kernel) weightOf(s *scratch, i, j int) float64 {
 // degreeFactors counts every record's distinct neighbours and returns the
 // EJS factors log(|E|/deg_i).
 func (k *kernel) degreeFactors() []float64 {
-	deg := make([]int32, k.records())
+	deg := make([]int32, k.Records())
 	k.each(func(s *scratch, i int) {
 		deg[i] = int32(len(k.neighbours(s, i, -1)))
 		s.release()
@@ -440,8 +355,8 @@ func (k *kernel) wep() []graph.Edge {
 func (k *kernel) wnp(reciprocal bool) []graph.Edge {
 	// mean is each record's neighbourhood mean; tie says whether a weight
 	// equal to it reaches the exact mean.
-	mean := make([]float64, k.records())
-	tie := make([]bool, k.records())
+	mean := make([]float64, k.Records())
+	tie := make([]bool, k.Records())
 	k.each(func(s *scratch, i int) {
 		nb := k.neighbours(s, i, -1)
 		if len(nb) > 0 {
@@ -469,8 +384,8 @@ func (k *kernel) wnp(reciprocal bool) []graph.Edge {
 // (both, if reciprocal) under (weight desc, neighbour id asc).
 func (k *kernel) cnp(top int, reciprocal bool) []graph.Edge {
 	// Record i's k-th best neighbour is cut[i], at weight cutW[i].
-	cutW := make([]float64, k.records())
-	cut := make([]int32, k.records())
+	cutW := make([]float64, k.Records())
+	cut := make([]int32, k.Records())
 	k.each(func(s *scratch, i int) {
 		nb := k.neighbours(s, i, -1)
 		// A record with at most k neighbours keeps them all.

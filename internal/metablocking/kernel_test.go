@@ -140,7 +140,7 @@ func kernelFixtures(t testing.TB) []kernelFixture {
 // same blocks.
 func TestRestructureEqualsGraphOracle(t *testing.T) {
 	for _, fx := range kernelFixtures(t) {
-		if _, ok := indexBlocks(fx.bs); !ok {
+		if _, ok := blocking.IndexBlocks(fx.bs); !ok {
 			t.Fatalf("%s: fixture outside the kernel's domain", fx.name)
 		}
 		for _, m := range matrix() {
@@ -199,7 +199,7 @@ func TestRestructureOutsideKernelDomain(t *testing.T) {
 	huge := blocking.NewBlocks(entity.Dirty)
 	huge.Add(&blocking.Block{Key: "a", S0: []entity.ID{0, 1 << 20}})
 	for name, bs := range map[string]*blocking.Blocks{"repeated": repeated, "both-sides": bothSides, "emptied": emptied, "huge-id": huge} {
-		if _, ok := indexBlocks(bs); ok {
+		if _, ok := blocking.IndexBlocks(bs); ok {
 			t.Fatalf("%s: entity index accepted a collection outside its domain", name)
 		}
 		for _, m := range matrix() {

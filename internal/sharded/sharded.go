@@ -23,9 +23,9 @@
 //     with N.
 //
 //   - Pair ownership by first shared key. The single-node resolver counts
-//     each delta candidate pair once — under the pair's first (ascending)
-//     shared blocking key, where the CompareIterator's seen-set first meets
-//     it. Shards reproduce that rule locally through
+//     each delta candidate pair once, however many keys it shares; here it
+//     belongs to the pair's first (ascending) shared blocking key. Shards
+//     reproduce that rule locally through
 //     incremental.Config.DeltaFilter: a pair is evaluated only by the shard
 //     owning its first shared key, so no pair is evaluated twice, none is
 //     missed, and the shard comparison counters sum to the single-node
