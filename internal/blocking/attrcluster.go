@@ -29,10 +29,7 @@ func (a *AttributeClustering) Name() string { return "attrclustering" }
 
 // Block implements Blocker.
 func (a *AttributeClustering) Block(c *entity.Collection) (*Blocks, error) {
-	p := a.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := a.Profiler.OrDefault()
 	minSim := a.MinSim
 	if minSim <= 0 {
 		minSim = 0.1

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,4 +69,24 @@ func BenchmarkDistinctPairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bs.DistinctPairs()
 	}
+}
+
+// BenchmarkBuildSharded builds token blocking over an interlink-shaped
+// corpus: clean-clean People records, light corruption, schema noise and a
+// vocabulary scaled with the entity count. It reports the build's cost per
+// record.
+func BenchmarkBuildSharded(b *testing.B) {
+	light := datagen.LightCorruption()
+	c, _, err := datagen.GenerateCleanClean(datagen.Config{Seed: 42, Entities: 6000, DupRatio: 0.5,
+		SchemaNoise: 0.5, VocabScale: 3, Domain: datagen.People, Corruption: &light})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildSharded(context.Background(), c, &TokenBlocking{}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Len()), "ns/record")
 }

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"slices"
 	"sort"
 
 	"entityres/internal/entity"
@@ -34,19 +35,28 @@ func (bb *builder) add(key string, id entity.ID, source int) {
 	}
 }
 
-// addDescription adds every distinct key of keys for the description.
-func (bb *builder) addDescription(d *entity.Description, keys []string) {
-	seen := make(map[string]struct{}, len(keys))
+// addDescription adds the description to the block of every distinct key
+// of keys, which it sorts and compacts in place (distinctKeys), and returns
+// the distinct keys. A block's members stay in insertion order: the key
+// order within one description never reaches them.
+func (bb *builder) addDescription(d *entity.Description, keys []string) []string {
+	keys = distinctKeys(keys)
 	for _, k := range keys {
-		if k == "" {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
 		bb.add(k, d.ID, d.Source)
 	}
+	return keys
+}
+
+// distinctKeys sorts keys in place, drops duplicates and "", and returns
+// the distinct keys: the one key normalization of the batch build and the
+// streaming BlockIndex.
+func distinctKeys(keys []string) []string {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	if len(keys) > 0 && keys[0] == "" {
+		keys = keys[1:]
+	}
+	return keys
 }
 
 // blocks finalizes the collection: keys sorted ascending, comparison-free

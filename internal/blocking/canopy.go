@@ -40,10 +40,7 @@ func (cp *Canopy) Block(c *entity.Collection) (*Blocks, error) {
 	if tight < loose {
 		return nil, fmt.Errorf("blocking: canopy tight threshold %v < loose %v", tight, loose)
 	}
-	p := cp.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := cp.Profiler.OrDefault()
 	ix := index.Build(c, p)
 	// Cache token lists and TF-IDF vectors: canopy evaluates each
 	// description against many seeds.

@@ -35,10 +35,7 @@ func (e *ExtendedQGrams) Name() string { return "extqgrams" }
 
 // Block implements Blocker.
 func (e *ExtendedQGrams) Block(c *entity.Collection) (*Blocks, error) {
-	p := e.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := e.Profiler.OrDefault()
 	q := e.Q
 	if q < 2 {
 		q = 3

@@ -9,7 +9,8 @@ import (
 )
 
 // KeyFunc derives the blocking keys of a description; the semantics of the
-// keys (whole values, tokens, q-grams, ...) are the algorithm's choice.
+// keys (whole values, tokens, q-grams, ...) are the algorithm's choice. The
+// returned slice belongs to the caller: the block builders sort it in place.
 type KeyFunc func(d *entity.Description) []string
 
 // ScalarKeyFunc derives a single sortable key per description, as needed by
@@ -62,9 +63,7 @@ func AttributeValueKey(attrs ...string) ScalarKeyFunc {
 // the description, deduplicated and sorted, joined by spaces. Descriptions
 // about the same entity sort near each other regardless of schema.
 func SortedTokensKey(p *token.Profiler) ScalarKeyFunc {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p = p.OrDefault()
 	return func(d *entity.Description) string {
 		ts := p.Set(d).Sorted()
 		return strings.Join(ts, " ")
@@ -74,9 +73,7 @@ func SortedTokensKey(p *token.Profiler) ScalarKeyFunc {
 // FirstTokenKey is a cheap ScalarKeyFunc: the alphabetically smallest value
 // token. Useful as a second sorted-neighborhood pass.
 func FirstTokenKey(p *token.Profiler) ScalarKeyFunc {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p = p.OrDefault()
 	return func(d *entity.Description) string {
 		ts := p.Set(d).Sorted()
 		if len(ts) == 0 {

@@ -26,10 +26,7 @@ func (ps *PrefixInfixSuffix) Name() string { return "prefixinfixsuffix" }
 // only collection-wide pass; it happens here, once, so the returned
 // KeyFunc is a pure per-description function safe for concurrent shards.
 func (ps *PrefixInfixSuffix) Keyer(c *entity.Collection) KeyFunc {
-	p := ps.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := ps.Profiler.OrDefault()
 	prefixes := commonURIPrefixes(c)
 	return func(d *entity.Description) []string {
 		keys := p.Tokens(d)

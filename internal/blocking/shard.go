@@ -51,13 +51,24 @@ const cancelCheckStride = 1024
 // into a partial inverted index, and the partials are merged in shard order
 // so every block's member lists stay in ascending ID order. The result is
 // identical to kb.Block(c) — same keys, same members, same order — for any
-// shard count. shards <= 0 means runtime.GOMAXPROCS(0).
+// shard count. shards <= 0 means runtime.GOMAXPROCS(0); one shard runs
+// inline.
 //
 // mapreduce.ParallelTokenBlocking builds the token-blocking collection as
 // an explicit MapReduce job with the same equals-sequential contract; this
 // function is the in-process fast path core.Pipeline's blocking phase uses,
 // and the one that generalizes over every KeyedBlocker.
 func BuildSharded(ctx context.Context, c *entity.Collection, kb KeyedBlocker, shards int) (*Blocks, error) {
+	bs, _, err := BuildShardedKeys(ctx, c, kb, shards, false)
+	return bs, err
+}
+
+// BuildShardedKeys is BuildSharded that, when keep is set, also returns
+// every description's distinct keys, sorted ascending and indexed by ID —
+// the lists the build indexed the description under. For token blocking
+// they are the descriptions' token rows, which core.Pipeline hands to the
+// batch matcher instead of tokenizing every record a second time.
+func BuildShardedKeys(ctx context.Context, c *entity.Collection, kb KeyedBlocker, shards int, keep bool) (*Blocks, [][]string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -65,37 +76,43 @@ func BuildSharded(ctx context.Context, c *entity.Collection, kb KeyedBlocker, sh
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return kb.Block(c)
-	}
+	shards = max(1, min(shards, n))
 	keys := kb.Keyer(c)
 	descs := c.All()
-	partials := make([]map[string]*Block, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			bb := newBuilder(c.Kind())
-			for i := lo; i < hi; i++ {
-				if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
-					return
-				}
-				bb.addDescription(descs[i], keys(descs[i]))
-			}
-			partials[s] = bb.m
-		}(s, lo, hi)
+	var rows [][]string
+	if keep {
+		rows = make([][]string, n)
 	}
-	wg.Wait()
+	partials := make([]map[string]*Block, shards)
+	build := func(s int) {
+		lo, hi := s*n/shards, (s+1)*n/shards
+		bb := newBuilder(c.Kind())
+		for i := lo; i < hi; i++ {
+			if (i-lo)%cancelCheckStride == 0 && ctx.Err() != nil {
+				return
+			}
+			distinct := bb.addDescription(descs[i], keys(descs[i]))
+			if keep {
+				rows[i] = distinct
+			}
+		}
+		partials[s] = bb.m
+	}
+	if shards == 1 {
+		build(0)
+	} else {
+		var wg sync.WaitGroup
+		for s := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				build(s)
+			}()
+		}
+		wg.Wait()
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Merge in ascending shard order: shard s holds IDs strictly below
 	// shard s+1, so appending member lists shard-by-shard reproduces the
@@ -119,5 +136,5 @@ func BuildSharded(ctx context.Context, c *entity.Collection, kb KeyedBlocker, sh
 	if r, ok := kb.(BlockRefiner); ok {
 		bs = r.RefineBlocks(bs)
 	}
-	return bs, nil
+	return bs, rows, nil
 }

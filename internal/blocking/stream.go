@@ -129,20 +129,7 @@ func (bi *BlockIndex) Keys(id entity.ID) []string { return bi.keys[id] }
 // indexed key set without an index at hand — the sharded resolver's
 // cross-shard pair-ownership rule above all — normalize identically.
 func DistinctKeys(keys []string) []string {
-	distinct := make([]string, 0, len(keys))
-	seen := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		if k == "" {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		distinct = append(distinct, k)
-	}
-	sort.Strings(distinct)
-	return distinct
+	return distinctKeys(append(make([]string, 0, len(keys)), keys...))
 }
 
 // Add indexes a description under its blocking keys. Keys are deduplicated

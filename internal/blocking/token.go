@@ -21,11 +21,7 @@ func (t *TokenBlocking) Name() string { return "token" }
 
 // Keyer implements KeyedBlocker.
 func (t *TokenBlocking) Keyer(*entity.Collection) KeyFunc {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
-	return p.Tokens
+	return t.Profiler.OrDefault().Tokens
 }
 
 // Block implements Blocker.
@@ -76,10 +72,7 @@ func (q *QGramsBlocking) Name() string { return "qgrams" }
 
 // Keyer implements KeyedBlocker.
 func (q *QGramsBlocking) Keyer(*entity.Collection) KeyFunc {
-	p := q.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := q.Profiler.OrDefault()
 	size := q.Q
 	if size < 2 {
 		size = 3
@@ -117,10 +110,7 @@ func (s *SuffixArrayBlocking) Name() string { return "suffix" }
 
 // Keyer implements KeyedBlocker.
 func (s *SuffixArrayBlocking) Keyer(*entity.Collection) KeyFunc {
-	p := s.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := s.Profiler.OrDefault()
 	minLen := s.MinLen
 	if minLen <= 0 {
 		minLen = 4

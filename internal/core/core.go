@@ -16,10 +16,18 @@
 // (metablocking.RestructureParallel); matching walks the record
 // neighbourhoods of the same kind of entity index, comparing each distinct
 // pair once, so no pair list or pair set is ever built
-// (matching.ResolveBlocksParallel); progressive runs execute
+// (matching.ResolveBlocksRows); progressive runs execute
 // wave-synchronously under an exact comparison budget
 // (progressive.RunParallel). Run is RunWorkers at one worker, where each of
 // those calls runs its sequential building block.
+//
+// A batch run tokenizes each record once. Token blocking keys a record by
+// its profiler's token list, sorted and compacted, and when the matcher's
+// token measure uses an equal profiler those lists are the matcher's rows
+// (blocking.BuildShardedKeys into matching.ResolveBlocksRows). Cleaning and
+// meta-blocking never change a record's tokens, so the rows hold through
+// every stage. Every other blocker or measure tokenizes for the matcher
+// anew, as matching.ResolveBlocksParallel does.
 //
 // The result is deterministic in the worker count: for a fixed
 // configuration and collection, every worker count produces the same match
@@ -313,6 +321,15 @@ func (p *Pipeline) replayStream(ctx context.Context, res *Result, c *entity.Coll
 	return r.Close()
 }
 
+// sharesRows reports whether the batch matcher can take blocking's key
+// lists as its rows: a Batch run over token blocking, whose keyer is
+// exactly Profiler.Tokens, with a matcher whose rows are that profiler's
+// token lists (matching.Matcher.SharesRows).
+func (p *Pipeline) sharesRows() bool {
+	tb, ok := p.Blocker.(*blocking.TokenBlocking)
+	return ok && p.Mode == Batch && p.Matcher.SharesRows(tb.Profiler)
+}
+
 // Run executes the pipeline over the collection: RunWorkers at one worker
 // under a background context, where every phase runs its sequential
 // building block.
@@ -364,11 +381,13 @@ func (p *Pipeline) RunWorkers(ctx context.Context, c *entity.Collection, workers
 	}
 
 	// Blocking phase: sharded over the workers when the blocker exposes a
-	// key function.
+	// key function, keeping the key lists as the matcher's rows when
+	// sharesRows holds (rows is nil otherwise).
 	var bs *blocking.Blocks
+	var rows [][]string
 	if err := phase("blocking", func() (err error) {
 		if kb, ok := p.Blocker.(blocking.KeyedBlocker); ok {
-			bs, err = blocking.BuildSharded(ctx, c, kb, workers)
+			bs, rows, err = blocking.BuildShardedKeys(ctx, c, kb, workers, p.sharesRows())
 		} else {
 			bs, err = p.Blocker.Block(c)
 		}
@@ -405,7 +424,7 @@ func (p *Pipeline) RunWorkers(ctx context.Context, c *entity.Collection, workers
 	err := phase(p.Mode.String(), func() error {
 		switch p.Mode {
 		case Batch:
-			out, err := matching.ResolveBlocksParallel(ctx, c, bs, p.Matcher, workers)
+			out, err := matching.ResolveBlocksRows(ctx, c, bs, p.Matcher, workers, rows)
 			res.Matches, res.Comparisons = out.Matches, out.Comparisons
 			return err
 		case MergingIterative:

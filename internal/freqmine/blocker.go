@@ -29,10 +29,7 @@ func (fb *Blocking) Block(c *entity.Collection) (*blocking.Blocks, error) {
 	if k < 1 {
 		k = 2
 	}
-	p := fb.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := fb.Profiler.OrDefault()
 	sets := make([]token.Set, c.Len())
 	txs := make([][]string, c.Len())
 	for _, d := range c.All() {

@@ -19,9 +19,7 @@ import (
 // in-process counterpart core.Pipeline uses (shared-memory shard
 // merge instead of shuffle, generalized over every KeyedBlocker).
 func ParallelTokenBlocking(c *entity.Collection, p *token.Profiler, workers int) (*blocking.Blocks, error) {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p = p.OrDefault()
 	type member struct {
 		id     entity.ID
 		source int

@@ -48,10 +48,7 @@ func (t *TokenJaccard) Name() string { return "token-jaccard" }
 
 // Sim implements ProfileSimilarity.
 func (t *TokenJaccard) Sim(a, b *entity.Description) float64 {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := t.Profiler.OrDefault()
 	return similarity.Jaccard(p.Set(a), p.Set(b))
 }
 
@@ -75,10 +72,7 @@ func (t *TokenContainment) Name() string { return "token-containment" }
 
 // Sim implements ProfileSimilarity.
 func (t *TokenContainment) Sim(a, b *entity.Description) float64 {
-	p := t.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := t.Profiler.OrDefault()
 	return similarity.Overlap(p.Set(a), p.Set(b))
 }
 
@@ -96,9 +90,7 @@ type TFIDFCosine struct {
 
 // NewTFIDFCosine indexes the collection and returns the measure.
 func NewTFIDFCosine(c *entity.Collection, p *token.Profiler) *TFIDFCosine {
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p = p.OrDefault()
 	return &TFIDFCosine{
 		ix:    index.Build(c, p),
 		prof:  p,
@@ -240,10 +232,7 @@ func (m *Matcher) rowForm() (prof *token.Profiler, kernel func(a, b []string) fl
 	default:
 		return nil, nil, false
 	}
-	if prof == nil {
-		prof = token.DefaultProfiler()
-	}
-	return prof, kernel, true
+	return prof.OrDefault(), kernel, true
 }
 
 // tokenRow returns d's distinct tokens, sorted.
@@ -289,26 +278,39 @@ func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair) func(a, b enti
 	}
 }
 
+// SharesRows reports whether m decides pairs on token rows that are
+// exactly prof's token lists, sorted and compacted: m's similarity has a
+// row form (see rowForm) and its profiler equals prof by value, nil meaning
+// the default. Token blocking under prof keys every record by that list,
+// so its key lists can be ResolveBlocksRows' rows.
+func (m *Matcher) SharesRows(prof *token.Profiler) bool {
+	own, _, ok := m.rowForm()
+	return ok && own.Equal(prof)
+}
+
 // bindIndex is bind over the records of an entity index. The rows are
 // dense, indexed by ID, so deciding a pair costs no map lookup; the index's
-// density guard bounds their number. The workers tokenize chunks of records
-// in parallel. On cancellation it returns ctx.Err() once every worker has
-// stopped.
-func (m *Matcher) bindIndex(ctx context.Context, c *entity.Collection, ix *blocking.EntityIndex, workers, chunk int) (func(a, b entity.ID) bool, error) {
+// density guard bounds their number. Given rows covering the index (see
+// ResolveBlocksRows) it decides on them as they are. Otherwise the workers
+// tokenize chunks of records in parallel, each record in a block once. On
+// cancellation it returns ctx.Err() once every worker has stopped.
+func (m *Matcher) bindIndex(ctx context.Context, c *entity.Collection, ix *blocking.EntityIndex, workers, chunk int, rows [][]string) (func(a, b entity.ID) bool, error) {
 	prof, kernel, ok := m.rowForm()
 	if !ok {
 		return m.describe(c), nil
 	}
-	rows := make([][]string, ix.Records())
-	err := forChunks(ctx, len(rows), workers, chunk, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if ix.BlocksPer(id) > 0 {
-				rows[id] = tokenRow(prof, c.Get(id))
+	if len(rows) < ix.Records() {
+		rows = make([][]string, ix.Records())
+		err := forChunks(ctx, len(rows), workers, chunk, func(_, lo, hi int) {
+			for id := lo; id < hi; id++ {
+				if ix.BlocksPer(id) > 0 {
+					rows[id] = tokenRow(prof, c.Get(id))
+				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	threshold := m.Threshold
 	return func(a, b entity.ID) bool {

@@ -32,12 +32,22 @@ const pairChunk = 256
 // x's blocks in order and compares each distinct partner y once, marking y
 // in its own stamp array: y > x in a dirty collection, every S1 partner of
 // an S0 record in a clean-clean one. Token measures read dense per-record
-// rows the workers build first (see bindIndex). Block collections outside
-// the index's domain stream through a CompareIterator into ResolvePairs.
+// rows the workers tokenize first (see bindIndex); ResolveBlocksRows takes
+// rows tokenized elsewhere instead. Block collections outside the index's
+// domain stream through a CompareIterator into ResolvePairs.
 //
 // ctx is checked before every chunk; when it is cancelled the partial
 // result is returned together with ctx.Err().
 func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocking.Blocks, m *Matcher, workers int) (Result, error) {
+	return ResolveBlocksRows(ctx, c, bs, m, workers, nil)
+}
+
+// ResolveBlocksRows is ResolveBlocksParallel over token rows built by the
+// caller: rows[id] is record id's distinct tokens, sorted ascending, as
+// m.SharesRows accepts them. The batch pipeline passes token blocking's key
+// lists, so each record is tokenized once per run. nil rows, or fewer rows
+// than the entity index has records, mean bindIndex tokenizes them.
+func ResolveBlocksRows(ctx context.Context, c *entity.Collection, bs *blocking.Blocks, m *Matcher, workers int, rows [][]string) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -56,7 +66,7 @@ func ResolveBlocksParallel(ctx context.Context, c *entity.Collection, bs *blocki
 	n := ix.Records()
 	workers = poolSize(workers, n)
 	chunk := max(1, min(recordChunk, n/(4*workers)))
-	match, err := m.bindIndex(ctx, c, ix, workers, chunk)
+	match, err := m.bindIndex(ctx, c, ix, workers, chunk, rows)
 	if err != nil {
 		return Result{Matches: entity.NewMatches()}, err
 	}

@@ -31,10 +31,7 @@ func (sb *Blocking) Block(c *entity.Collection) (*blocking.Blocks, error) {
 	if th == 0 {
 		th = 0.3
 	}
-	p := sb.Profiler
-	if p == nil {
-		p = token.DefaultProfiler()
-	}
+	p := sb.Profiler.OrDefault()
 	inputs := make([]Input, 0, c.Len())
 	for _, d := range c.All() {
 		inputs = append(inputs, Input{ID: d.ID, Source: d.Source, Tokens: p.Tokens(d)})

@@ -1,6 +1,7 @@
 package token
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -84,6 +85,36 @@ func FuzzQGrams(f *testing.F) {
 		for _, g := range grams {
 			if n := len([]rune(g)); n != q {
 				t.Fatalf("QGrams(%q, %d) emitted %q with %d runes", s, q, g, n)
+			}
+		}
+	})
+}
+
+// referenceTokens is TokenizeFiltered spelled out on the Unicode path,
+// the reference the single-scan ASCII tokenizer must reproduce.
+func referenceTokens(s string, stop Stopwords, minLen int) []string {
+	var out []string
+	for _, t := range strings.Fields(Normalize(s)) {
+		if len(t) >= minLen && !stop.Contains(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// FuzzTokenizeFiltered checks that TokenizeFiltered equals the reference
+// on every input, with and without stopwords, at minLen 0, 1 and 3.
+func FuzzTokenizeFiltered(f *testing.F) {
+	for _, s := range tokenizeCases {
+		f.Add(s.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, stop := range []Stopwords{nil, DefaultStopwords()} {
+			for _, minLen := range []int{0, 1, 3} {
+				got, want := TokenizeFiltered(s, stop, minLen), referenceTokens(s, stop, minLen)
+				if !slices.Equal(got, want) {
+					t.Fatalf("TokenizeFiltered(%q, stop=%v, %d) = %q, want %q", s, stop != nil, minLen, got, want)
+				}
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package token
 
 import (
+	"maps"
 	"strings"
 
 	"entityres/internal/entity"
@@ -22,7 +23,10 @@ const (
 // Profiler converts descriptions to token sets under a fixed configuration,
 // caching nothing: callers that compare the same record many times profile
 // it once themselves, as the matching executors do with their per-call
-// sorted token rows.
+// sorted token rows. Tokens runs the single-scan ASCII tokenizer of
+// TokenizeFiltered on every value. A nil *Profiler in a configuration means
+// the shared, read-only default (OrDefault); DefaultProfiler hands out a
+// fresh copy for callers that change it.
 type Profiler struct {
 	Scheme    Scheme
 	Stopwords Stopwords
@@ -47,24 +51,55 @@ func IsRefValue(v string) bool {
 }
 
 // DefaultProfiler returns the schema-agnostic profiler with default
-// stopwords used by the paper's token-blocking family.
+// stopwords used by the paper's token-blocking family. Every call builds a
+// fresh copy, so the caller may change it; a nil *Profiler field that means
+// "the default" reads the one shared value instead (see OrDefault).
 func DefaultProfiler() *Profiler {
 	return &Profiler{Scheme: SchemaAgnostic, Stopwords: DefaultStopwords()}
 }
 
+// sharedDefault is the default profiler every nil-profiler default reads.
+// Nothing may change it.
+var sharedDefault = DefaultProfiler()
+
+// OrDefault returns p, or the shared default profiler when p is nil. The
+// shared value is read-only: a caller that wants to change a default
+// profiler starts from DefaultProfiler instead.
+func (p *Profiler) OrDefault() *Profiler {
+	if p == nil {
+		return sharedDefault
+	}
+	return p
+}
+
+// Equal reports whether p and q produce the same tokens for every
+// description: every field agrees by value, stopwords compared as sets, and
+// nil means the default profiler.
+func (p *Profiler) Equal(q *Profiler) bool {
+	p, q = p.OrDefault(), q.OrDefault()
+	return p.Scheme == q.Scheme && p.MinTokenLen == q.MinTokenLen &&
+		p.IncludeURITokens == q.IncludeURITokens && p.SkipRefValues == q.SkipRefValues &&
+		maps.Equal(p.Stopwords, q.Stopwords)
+}
+
 // Tokens returns the token list of d under the profiler's scheme, with
-// duplicates preserved (multiplicity matters for TF weighting).
+// duplicates preserved (multiplicity matters for TF weighting). Every
+// value's tokens go straight into the one returned slice.
 func (p *Profiler) Tokens(d *entity.Description) []string {
-	var out []string
+	size := len(d.URI)
+	for _, a := range d.Attrs {
+		size += len(a.Value)
+	}
+	out := make([]string, 0, tokensIn(size))
 	for _, a := range d.Attrs {
 		if p.SkipRefValues && IsRefValue(a.Value) {
 			continue
 		}
-		ts := TokenizeFiltered(a.Value, p.Stopwords, p.MinTokenLen)
+		from := len(out)
+		out = appendTokens(out, a.Value, p.Stopwords, p.MinTokenLen)
 		if p.Scheme == SchemaAware {
-			ts = Qualified(a.Name, ts)
+			Qualified(a.Name, out[from:])
 		}
-		out = append(out, ts...)
 	}
 	if p.IncludeURITokens && d.URI != "" {
 		out = append(out, URITokens(d.URI, p.Stopwords, p.MinTokenLen)...)
@@ -81,12 +116,5 @@ func (p *Profiler) Set(d *entity.Description) Set {
 // the last '/' or '#'), which frequently encodes the entity label in LOD
 // datasets.
 func URITokens(uri string, stop Stopwords, minLen int) []string {
-	local := uri
-	for i := len(uri) - 1; i >= 0; i-- {
-		if uri[i] == '/' || uri[i] == '#' {
-			local = uri[i+1:]
-			break
-		}
-	}
-	return TokenizeFiltered(local, stop, minLen)
+	return TokenizeFiltered(uri[strings.LastIndexAny(uri, "/#")+1:], stop, minLen)
 }

@@ -8,11 +8,20 @@
 // descriptions share tokens rather than whole values; every tokenizer here
 // is deterministic and allocation-conscious because blocking tokenizes
 // every value of every description.
+//
+// Tokenize and TokenizeFiltered scan an ASCII value once: a token is a
+// maximal run of [A-Za-z0-9] sliced from the value itself, and only a value
+// holding upper case is copied, once, lowercased. From the first byte >=
+// 0x80 on, a value takes the Unicode path, strings.Fields(Normalize(s)).
+// Both paths yield the same tokens on every input (FuzzTokenizeFiltered).
+// A token sliced from its value keeps that value's memory alive, as a token
+// of the Unicode path keeps its normalized copy alive.
 package token
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lowercases s and maps every non-alphanumeric rune to a space.
@@ -32,27 +41,93 @@ func Normalize(s string) string {
 	return b.String()
 }
 
-// Tokenize splits s into normalized alphanumeric tokens. Tokens of length
-// one are kept: single-letter initials carry signal in person names.
+// Tokenize splits s into normalized alphanumeric tokens: the words of
+// Normalize(s). Tokens of length one are kept: single-letter initials carry
+// signal in person names.
 func Tokenize(s string) []string {
-	return strings.Fields(Normalize(s))
+	return TokenizeFiltered(s, nil, 0)
 }
 
-// TokenizeFiltered splits s into normalized tokens, dropping stopwords and
-// tokens shorter than minLen.
+// TokenizeFiltered splits s into normalized tokens, dropping tokens shorter
+// than minLen and then stopwords, which are matched after lowercasing.
 func TokenizeFiltered(s string, stop Stopwords, minLen int) []string {
-	raw := Tokenize(s)
-	out := raw[:0]
-	for _, t := range raw {
-		if len(t) < minLen {
+	return appendTokens(make([]string, 0, tokensIn(len(s))), s, stop, minLen)
+}
+
+// tokensIn estimates how many tokens n bytes of text hold: one per six
+// bytes, about one English word and its separator.
+func tokensIn(n int) int { return n/6 + 1 }
+
+// appendTokens appends the filtered tokens of s to dst in one scan of an
+// ASCII s. Tokens are sliced from s, or from one lowercased copy of s once
+// a token holds upper case. At the first byte >= 0x80 the rest of s, from
+// the start of the last run on (the rune may continue it), takes the
+// Unicode path; the runs before it end at an ASCII separator, so their
+// tokens stand.
+func appendTokens(dst []string, s string, stop Stopwords, minLen int) []string {
+	lower := ""
+	kept, from := len(dst), 0 // dst and s as they were before the last run
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return appendUnicodeTokens(dst[:kept], s[from:], stop, minLen)
+		}
+		if !isAlnum(c) {
+			i++
 			continue
 		}
-		if stop != nil && stop.Contains(t) {
+		start, upper := i, false
+		kept, from = len(dst), start
+		for ; i < len(s) && isAlnum(s[i]); i++ {
+			upper = upper || isUpper(s[i])
+		}
+		if i-start < minLen {
 			continue
 		}
-		out = append(out, t)
+		t := s[start:i]
+		if upper {
+			if lower == "" {
+				lower = lowerASCII(s)
+			}
+			t = lower[start:i]
+		}
+		if !stop.Contains(t) {
+			dst = append(dst, t)
+		}
 	}
-	return out
+	return dst
+}
+
+// appendUnicodeTokens is appendTokens on the Unicode path.
+func appendUnicodeTokens(dst []string, s string, stop Stopwords, minLen int) []string {
+	for _, t := range strings.Fields(Normalize(s)) {
+		if len(t) >= minLen && !stop.Contains(t) {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
+func isUpper(c byte) bool { return 'A' <= c && c <= 'Z' }
+
+// isAlnum reports whether the ASCII byte c is a letter or a digit.
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || isUpper(c) || '0' <= c && c <= '9'
+}
+
+// lowerASCII returns s with A-Z lowered and every other byte kept, so each
+// byte stays at its offset.
+func lowerASCII(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if isUpper(c) {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 // QGrams returns the padded character q-grams of the normalized form of s.
@@ -85,16 +160,15 @@ func QGrams(s string, q int) []string {
 	return out
 }
 
-// Qualified prefixes each token with an attribute name, producing the
-// schema-aware tokens used by standard blocking and attribute-qualified
-// token blocking: "name#smith" only collides with "name#smith", never with
-// "city#smith".
+// Qualified prefixes each token with an attribute name, in place, and
+// returns tokens: the schema-aware tokens used by standard blocking and
+// attribute-qualified token blocking. "name#smith" only collides with
+// "name#smith", never with "city#smith".
 func Qualified(attr string, tokens []string) []string {
-	out := make([]string, len(tokens))
 	for i, t := range tokens {
-		out[i] = attr + "#" + t
+		tokens[i] = attr + "#" + t
 	}
-	return out
+	return tokens
 }
 
 // Stopwords is a set of tokens excluded from blocking keys. Frequent
