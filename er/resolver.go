@@ -272,14 +272,14 @@ func Open(ctx context.Context, cfg Config) (Resolver, error) {
 
 // backend is what every deployment form offers the adapters: its one
 // batch apply path and the shared read surface. The reconciling reads
-// (MatchedWith, Clusters, Stats) return the reconcile's error — a poisoned
+// (MatchedWith, ClusterOf, Stats) return the reconcile's error — a poisoned
 // journal surfaces as ErrBroken instead of a panic.
 type backend interface {
 	incremental.Batcher
 	Lookup(uri string) (ID, bool)
 	Get(id ID) (*Description, bool)
 	MatchedWith(id ID) ([]ID, error)
-	Clusters() ([][]ID, error)
+	ClusterOf(id ID) ([]ID, error)
 	Stats() (StreamingStats, error)
 	Flush(ctx context.Context) error
 	Close() error
@@ -307,26 +307,14 @@ func runQuery(b backend, q Query) (Result, error) {
 	}
 	res := Result{ID: id, Description: d, SameAs: sameAs}
 	if q.Cluster {
-		clusters, err := b.Clusters()
-		if err != nil {
+		if res.Cluster, err = b.ClusterOf(id); err != nil {
 			return Result{}, err
 		}
-		res.Cluster = clusterOf(clusters, id)
-	}
-	return res, nil
-}
-
-// clusterOf finds id's cluster; a description matched to nothing forms a
-// singleton.
-func clusterOf(clusters [][]ID, id ID) []ID {
-	for _, c := range clusters {
-		for _, m := range c {
-			if m == id {
-				return c
-			}
+		if res.Cluster == nil {
+			res.Cluster = []ID{id} // matched to nothing: a singleton
 		}
 	}
-	return []ID{id}
+	return res, nil
 }
 
 // adapter implements Resolver over any deployment form. Every mutation is a

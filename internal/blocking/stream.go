@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"fmt"
-	"sort"
 
 	"entityres/internal/entity"
 	"entityres/internal/index"
@@ -37,9 +36,9 @@ func (q *QGramsBlocking) StreamKeyer() KeyFunc { return q.Keyer(nil) }
 // with the posting lists and key document frequencies kept by an
 // index.Inverted underneath. Materializing it with Blocks yields exactly
 // the collection the batch build (Blocker.Block) would produce for the
-// same live descriptions; DeltaBlocks exposes, for one description, only
-// the blocks its keys touch — the comparison frontier the streaming
-// resolver feeds to the matcher.
+// same live descriptions; Keys and Postings expose, for one description,
+// only the blocks its keys touch — the comparison frontier the streaming
+// resolver walks.
 //
 // A BlockIndex is not safe for concurrent mutation; the streaming resolver
 // serializes operations.
@@ -79,15 +78,8 @@ func (bi *BlockIndex) Observe(o MembershipObserver) {
 	}
 }
 
-// EachMember enumerates the live members of one key with their source
-// index, in unspecified order, stopping early if fn returns false.
-func (bi *BlockIndex) EachMember(key string, fn func(id entity.ID, source int) bool) {
-	for _, p := range bi.ix.Postings(key) {
-		if !fn(p.Doc, bi.source[p.Doc]) {
-			return
-		}
-	}
-}
+// Postings returns key's live members in indexing order (do not mutate).
+func (bi *BlockIndex) Postings(key string) []index.Posting { return bi.ix.Postings(key) }
 
 // SourceOf returns the source index the description was indexed under and
 // whether it is indexed.
@@ -173,41 +165,6 @@ func (bi *BlockIndex) Remove(id entity.ID) bool {
 	delete(bi.keys, id)
 	delete(bi.source, id)
 	return true
-}
-
-// DeltaBlocks returns the comparison frontier of one indexed description:
-// for every key of id, a block pairing id (S0) against the other live
-// members of that key that are comparable to it under the index's kind
-// (S1, sorted ascending). The returned collection is always CleanClean-
-// shaped — S0×S1 enumeration — regardless of the index kind, because the
-// frontier is inherently bipartite: id against everyone else. The distinct
-// S1 members are the candidates of id's delta comparison schedule on an
-// insert or update; a candidate under several keys is compared once.
-func (bi *BlockIndex) DeltaBlocks(id entity.ID) *Blocks {
-	out := NewBlocks(entity.CleanClean)
-	keys, live := bi.keys[id]
-	if !live {
-		return out
-	}
-	src := bi.source[id]
-	for _, k := range keys {
-		var others []entity.ID
-		for _, p := range bi.ix.Postings(k) {
-			if p.Doc == id {
-				continue
-			}
-			if bi.kind == entity.CleanClean && bi.source[p.Doc] == src {
-				continue
-			}
-			others = append(others, p.Doc)
-		}
-		if len(others) == 0 {
-			continue
-		}
-		sort.Ints(others)
-		out.Add(&Block{Key: k, S0: []entity.ID{id}, S1: others})
-	}
-	return out
 }
 
 // Blocks materializes the full block collection of the live descriptions:

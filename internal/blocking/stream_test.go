@@ -109,9 +109,9 @@ func TestBlockIndexMatchesBatchBuild(t *testing.T) {
 	}
 }
 
-// TestBlockIndexDeltaBlocks checks the delta frontier of a description is
-// exactly its comparable co-blocked candidates, each pair enumerated once.
-func TestBlockIndexDeltaBlocks(t *testing.T) {
+// TestBlockIndexAccessors pins the read accessors the streaming resolver's
+// frontier walk rides: Keys, Postings, DF and the counts.
+func TestBlockIndexAccessors(t *testing.T) {
 	bi := NewBlockIndex(entity.CleanClean)
 	if err := bi.Add(0, 0, []string{"x", "y"}); err != nil {
 		t.Fatal(err)
@@ -126,37 +126,18 @@ func TestBlockIndexDeltaBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Description 0 (source 0) must see only source-1 members: 2 via x and
-	// y, 3 via y — pair {0,2} deduplicated across keys by the iterator.
-	delta := bi.DeltaBlocks(0)
-	got := map[entity.Pair]int{}
-	it := NewCompareIterator(delta)
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		got[p]++
+	// Postings list a key's members in indexing order; an absent key has
+	// none.
+	var ys []entity.ID
+	for _, p := range bi.Postings("y") {
+		ys = append(ys, p.Doc)
 	}
-	want := map[entity.Pair]int{
-		entity.NewPair(0, 2): 1,
-		entity.NewPair(0, 3): 1,
+	if want := []entity.ID{0, 2, 3}; !reflect.DeepEqual(ys, want) {
+		t.Fatalf("Postings(y) = %v, want %v", ys, want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("delta pairs = %v, want %v", got, want)
+	if ps := bi.Postings("absent"); len(ps) != 0 {
+		t.Fatalf("Postings(absent) = %v", ps)
 	}
-	for p, n := range want {
-		if got[p] != n {
-			t.Fatalf("pair %v enumerated %d times, want %d", p, got[p], n)
-		}
-	}
-
-	// Unknown descriptions have an empty frontier.
-	if delta := bi.DeltaBlocks(42); delta.Len() != 0 {
-		t.Fatalf("DeltaBlocks(42) has %d blocks, want 0", delta.Len())
-	}
-
-	// Accessor semantics.
 	if bi.Kind() != entity.CleanClean {
 		t.Fatalf("Kind = %v", bi.Kind())
 	}
@@ -219,12 +200,9 @@ func (o *recordingObserver) expectIndexed(bi *BlockIndex, id entity.ID, source i
 	}
 	for _, k := range keys {
 		seen := false
-		bi.EachMember(k, func(m entity.ID, ms int) bool {
-			if m == id {
-				seen = ms == source
-			}
-			return true
-		})
+		for _, p := range bi.Postings(k) {
+			seen = seen || p.Doc == id
+		}
 		if !seen {
 			o.t.Errorf("%s(%d): not listed under key %q at notification time", kind, id, k)
 		}
@@ -264,12 +242,6 @@ func TestBlockIndexObserver(t *testing.T) {
 	want := []string{"add 1 [a b]", "add 2 [a]", "remove 2 [a]"}
 	if !reflect.DeepEqual(obs.log, want) {
 		t.Fatalf("observer log = %v, want %v", obs.log, want)
-	}
-	// EachMember stops early when fn returns false.
-	n := 0
-	bi.EachMember("a", func(entity.ID, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("EachMember early stop visited %d members", n)
 	}
 	if _, ok := bi.SourceOf(99); ok {
 		t.Fatal("SourceOf(99) reported indexed")

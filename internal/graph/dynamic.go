@@ -60,6 +60,8 @@ type Dynamic struct {
 	comp map[entity.ID]entity.ID
 	// members maps a representative to its component's member set.
 	members map[entity.ID]map[entity.ID]struct{}
+	// clusters counts the components with two or more members.
+	clusters int
 }
 
 // NewDynamic returns an empty dynamic component structure.
@@ -103,6 +105,11 @@ func (d *Dynamic) AddEdge(a, b entity.ID, w float64) {
 	if len(d.members[ra]) < len(d.members[rb]) {
 		ra, rb = rb, ra
 	}
+	if len(d.members[ra]) == 1 {
+		d.clusters++ // two singletons merge
+	} else if len(d.members[rb]) > 1 {
+		d.clusters-- // two clusters merge
+	}
 	for id := range d.members[rb] {
 		d.comp[id] = ra
 		d.members[ra][id] = struct{}{}
@@ -132,6 +139,9 @@ func (d *Dynamic) RemoveNode(id entity.ID) {
 		return
 	}
 	old := d.members[rep]
+	if len(old) > 1 {
+		d.clusters-- // reassign counts what the removal leaves
+	}
 	d.g.RemoveNode(id)
 	delete(d.comp, id)
 	delete(old, id)
@@ -166,6 +176,7 @@ func (d *Dynamic) RemoveEdges(pairs []entity.Pair) int {
 		removed++
 		rep := d.comp[p.A]
 		if old, ok := d.members[rep]; ok {
+			d.clusters-- // it held the edge; reassign counts what is left
 			for id := range old {
 				dissolved[id] = struct{}{}
 			}
@@ -204,6 +215,9 @@ func (d *Dynamic) reassign(old map[entity.ID]struct{}) {
 			}
 		}
 		d.members[seed] = comp
+		if len(comp) > 1 {
+			d.clusters++
+		}
 		for n := range comp {
 			d.comp[n] = seed
 		}
@@ -217,18 +231,35 @@ func (d *Dynamic) reassign(old map[entity.ID]struct{}) {
 func (d *Dynamic) Clusters() [][]entity.ID {
 	var out [][]entity.ID
 	for _, m := range d.members {
-		if len(m) < 2 {
-			continue
+		if len(m) >= 2 {
+			out = append(out, sortedMembers(m))
 		}
-		cl := make([]entity.ID, 0, len(m))
-		for id := range m {
-			cl = append(cl, id)
-		}
-		sort.Ints(cl)
-		out = append(out, cl)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// NumClusters returns len(Clusters()), kept current by every mutation.
+func (d *Dynamic) NumClusters() int { return d.clusters }
+
+// ClusterOf returns id's component sorted ascending, a fresh copy, or nil
+// when id has no match edge. Its cost is the cluster's size.
+func (d *Dynamic) ClusterOf(id entity.ID) []entity.ID {
+	rep, ok := d.comp[id]
+	if !ok || len(d.members[rep]) < 2 {
+		return nil
+	}
+	return sortedMembers(d.members[rep])
+}
+
+// sortedMembers returns a member set as an ascending slice.
+func sortedMembers(m map[entity.ID]struct{}) []entity.ID {
+	cl := make([]entity.ID, 0, len(m))
+	for n := range m {
+		cl = append(cl, n)
+	}
+	sort.Ints(cl)
+	return cl
 }
 
 // SnapshotEdges returns the dynamic graph's edges sorted by (A, B) — the

@@ -114,9 +114,68 @@ func TestDynamicRandomizedAgainstUnionFind(t *testing.T) {
 		if got, want := d.Clusters(), uf.Clusters(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: dynamic clusters %v, union-find %v", step, got, want)
 		}
+		assertClusterReads(t, d, nodes)
 		if got, want := d.NumEdges(), len(edges); got != want {
 			t.Fatalf("step %d: NumEdges = %d, want %d", step, got, want)
 		}
+	}
+}
+
+// assertClusterReads checks the O(answer) reads against Clusters: every
+// node's ClusterOf is the cluster listing it (nil when none does), and
+// NumClusters counts them.
+func assertClusterReads(t *testing.T, d *Dynamic, nodes int) {
+	t.Helper()
+	clusters := d.Clusters()
+	if got := d.NumClusters(); got != len(clusters) {
+		t.Fatalf("NumClusters = %d, Clusters has %d", got, len(clusters))
+	}
+	of := map[entity.ID][]entity.ID{}
+	for _, cl := range clusters {
+		for _, id := range cl {
+			of[id] = cl
+		}
+	}
+	for id := 0; id < nodes; id++ {
+		if got := d.ClusterOf(id); !reflect.DeepEqual(got, of[id]) {
+			t.Fatalf("ClusterOf(%d) = %v, want %v", id, got, of[id])
+		}
+	}
+}
+
+// TestDynamicClusterOf churns a Dynamic with random AddEdge, RemoveEdges
+// and RemoveNode calls, checking ClusterOf and NumClusters against
+// Clusters after every step; a returned cluster is the caller's copy.
+func TestDynamicClusterOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := NewDynamic()
+	const nodes = 20
+	for step := 0; step < 800; step++ {
+		switch op := rng.Intn(6); {
+		case op < 3:
+			d.AddEdge(rng.Intn(nodes), rng.Intn(nodes), 1)
+		case op < 5:
+			var batch []entity.Pair
+			for range rng.Intn(4) + 1 {
+				if a, b := rng.Intn(nodes), rng.Intn(nodes); a != b {
+					batch = append(batch, entity.NewPair(a, b))
+				}
+			}
+			d.RemoveEdges(batch)
+		default:
+			d.RemoveNode(rng.Intn(nodes))
+		}
+		assertClusterReads(t, d, nodes)
+	}
+	d = NewDynamic()
+	d.AddEdge(1, 2, 1)
+	cl := d.ClusterOf(1)
+	cl[0] = 99
+	if got := d.ClusterOf(2); !reflect.DeepEqual(got, []entity.ID{1, 2}) {
+		t.Fatalf("ClusterOf shares its result with the structure: %v", got)
+	}
+	if d.ClusterOf(3) != nil || NewDynamic().NumClusters() != 0 {
+		t.Fatal("an unknown node has a cluster")
 	}
 }
 
@@ -209,6 +268,7 @@ func TestDynamicRandomizedRemoveEdge(t *testing.T) {
 		if got, want := d.Clusters(), uf.Clusters(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: dynamic clusters %v, union-find %v", step, got, want)
 		}
+		assertClusterReads(t, d, nodes)
 		if got, want := d.NumEdges(), len(edges); got != want {
 			t.Fatalf("step %d: NumEdges = %d, want %d", step, got, want)
 		}

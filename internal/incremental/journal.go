@@ -524,49 +524,18 @@ func (r *Resolver) retractRecord() {
 	}
 }
 
-// replayRecord re-applies one journaled operation during recovery. Handle
-// gaps between the next free slot and an insert record's assigned handle
-// reproduce burned slots (see burnSlot).
+// replayRecord re-applies one journaled operation during recovery; direct-
+// path records go through ApplyBatch's run splitter (applyRecords), where
+// an insert's handle gap reproduces burned slots (see burnSlot).
 func (r *Resolver) replayRecord(rec Record) error {
-	if rec.Seq > 0 {
+	switch {
+	case rec.Seq > 0:
 		// A routed-stream record (see routed.go): replayed through the routed
 		// apply path, which advances the acknowledged sequence number and
 		// tolerates the states routing creates (placeholder slots,
-		// materializing updates) that the direct path below refuses.
+		// materializing updates) that the direct path refuses.
 		return r.replayRouted(rec)
-	}
-	switch rec.Kind {
-	case OpInsert:
-		if rec.ID < r.coll.Len() {
-			return fmt.Errorf("incremental: journal insert assigns handle %d but %d slots already exist", rec.ID, r.coll.Len())
-		}
-		for r.coll.Len() < rec.ID {
-			r.burnSlot()
-		}
-		d := &entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		id, err := r.applyInsert(d)
-		if err != nil {
-			return fmt.Errorf("incremental: replaying insert of %q: %w", rec.URI, err)
-		}
-		if id != rec.ID {
-			return fmt.Errorf("incremental: replay assigned handle %d, journal recorded %d", id, rec.ID)
-		}
-		return nil
-	case OpUpdate:
-		if !r.isLive(rec.ID) {
-			return fmt.Errorf("incremental: journal updates handle %d, which is not live at this point of the log", rec.ID)
-		}
-		if err := r.applyUpdate(rec.ID, rec.Attrs); err != nil {
-			return fmt.Errorf("incremental: replaying update of %d: %w", rec.ID, err)
-		}
-		return nil
-	case OpDelete:
-		if !r.isLive(rec.ID) {
-			return fmt.Errorf("incremental: journal deletes handle %d, which is not live at this point of the log", rec.ID)
-		}
-		r.applyDelete(rec.ID)
-		return nil
-	case OpReconcile:
+	case rec.Kind == OpReconcile:
 		// Re-run the deferred meta-blocking reconcile at the same point of
 		// the stream the original read performed it: the evaluated pairs,
 		// cached decisions and comparison counts come out identical. During
@@ -576,17 +545,17 @@ func (r *Resolver) replayRecord(rec Record) error {
 			return fmt.Errorf("incremental: replaying reconcile: %w", err)
 		}
 		return nil
-	case OpBatch:
-		// One WAL frame holds the whole batch, so recovery sees it all or
-		// not at all: a torn final append is truncated away by the WAL layer
+	case rec.Kind == OpInsert, rec.Kind == OpUpdate, rec.Kind == OpDelete, rec.Kind == OpBatch:
+		// One WAL frame holds a whole batch, so recovery sees it all or not
+		// at all: a torn final append is truncated away by the WAL layer
 		// before replay starts, and a decoded batch replays every sub-record.
-		for i := range rec.Batch {
-			if err := r.replayRecord(rec.Batch[i]); err != nil {
-				return fmt.Errorf("incremental: batch sub-record %d: %w", i, err)
-			}
+		if i, err := r.applyRecords(rec.Ops(), true); err != nil {
+			return fmt.Errorf("incremental: replaying %s, operation %d: %w", rec.Kind, i, err)
 		}
-		cp := rec
-		r.lastRecord = &cp
+		if rec.Kind == OpBatch {
+			cp := rec
+			r.lastRecord = &cp
+		}
 		return nil
 	default:
 		return fmt.Errorf("incremental: journal record has unknown kind %v", rec.Kind)

@@ -6,11 +6,11 @@
 //
 // This is the paper's §III iteration model pushed to its serving-time
 // conclusion: the comparison "queue" is re-derived per operation from the
-// blocks the operation changed (the delta frontier of
-// blocking.BlockIndex.DeltaBlocks), the frontier's distinct pairs go to the
-// matcher's pair entry point (matching.ResolvePairs), and the match graph
-// and its connected components are maintained by graph.Dynamic with
-// targeted recomputation.
+// blocks the operation changed (its delta frontier, walked along its keys'
+// posting lists; a batch's run of inserts is walked in one pass), the
+// frontier's distinct pairs go to the matcher's pair entry point
+// (matching.ResolvePairsRows), and the match graph and its connected
+// components are maintained by graph.Dynamic with targeted recomputation.
 //
 // The Resolver's contract is differential equivalence: after any sequence
 // of operations, its match set and clusters are identical to a from-scratch
@@ -36,7 +36,6 @@ package incremental
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,9 +85,9 @@ type Config struct {
 	// function of the descriptions' current attributes and must not retain
 	// them; it is not captured by snapshots, so a resolver recovered by
 	// OpenResolver must be configured with an identical filter or replay
-	// diverges. The claim function is only used until deltaPairs returns,
-	// from one goroutine. Nil evaluates every suggested pair (the
-	// single-node behavior).
+	// diverges. The claim function is only used while d's frontier is
+	// walked, from one goroutine; a candidate it claimed is not offered
+	// again. Nil evaluates every suggested pair (the single-node behavior).
 	DeltaFilter func(d *entity.Description) func(key string, other *entity.Description) bool
 }
 
@@ -172,6 +171,10 @@ type Resolver struct {
 
 	blocks *blocking.BlockIndex
 	dyn    *graph.Dynamic
+	// The frontier walk's scratch (see walk and index), reused across ops.
+	stamp    []uint64
+	epoch    uint64
+	frontier []entity.Pair
 
 	// lastSeq is the sequence number of the last applied routed-stream
 	// record (routed.go); 0 for resolvers fed through the direct methods.
@@ -261,24 +264,26 @@ func (r *Resolver) Delete(id entity.ID) error {
 	return DeleteOne(context.Background(), r, id)
 }
 
-// applyInsert is an insert's state mutation, shared by ApplyBatch, journal
-// replay and the routed path. Callers hold r.mu and have validated the
-// description; the only failure is entity.Collection.Add refusing it, which
-// leaves the state untouched.
-func (r *Resolver) applyInsert(d *entity.Description) (entity.ID, error) {
-	cp := d.Clone()
-	id, err := r.coll.Add(cp)
-	if err != nil {
-		return -1, fmt.Errorf("incremental: %w", err)
+// insertRun applies inserts with consecutive handles from the next free
+// slot: it adds them all, then keys and resolves them in one pass (index).
+// Callers hold r.mu and have validated the descriptions.
+func (r *Resolver) insertRun(recs []Record) error {
+	lo := r.coll.Len()
+	for _, rec := range recs {
+		cp := (&entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}).Clone()
+		id, err := r.coll.Add(cp)
+		if err != nil {
+			return fmt.Errorf("incremental: %w", err)
+		}
+		r.live = append(r.live, true)
+		if cp.URI != "" {
+			r.byURI[cp.URI] = id
+		}
+		r.liveCount++
+		r.stats.Inserts++
+		r.lastRecord = &Record{Kind: OpInsert, ID: id, URI: cp.URI, Source: cp.Source, Attrs: cp.Attrs}
 	}
-	r.live = append(r.live, true)
-	if cp.URI != "" {
-		r.byURI[cp.URI] = id
-	}
-	r.liveCount++
-	r.stats.Inserts++
-	r.lastRecord = &Record{Kind: OpInsert, ID: id, URI: cp.URI, Source: cp.Source, Attrs: cp.Attrs}
-	return id, r.index(id)
+	return r.index(lo, r.coll.Len())
 }
 
 // applyUpdate is an update's state mutation, shared by ApplyBatch, journal
@@ -289,7 +294,7 @@ func (r *Resolver) applyUpdate(id entity.ID, attrs []entity.Attribute) error {
 	d.Attrs = append([]entity.Attribute(nil), attrs...)
 	r.stats.Updates++
 	r.lastRecord = &Record{Kind: OpUpdate, ID: id, Attrs: d.Attrs}
-	return r.index(id)
+	return r.index(id, id+1)
 }
 
 // applyDelete is a delete's state mutation, shared by ApplyBatch, journal
@@ -316,6 +321,9 @@ func (r *Resolver) applyDelete(id entity.ID) {
 // Delete and Apply are batches of one, journaled as the bare operation
 // record (see journalEntry); the resolved state after a batch is
 // bit-identical to applying its records one at a time.
+//
+// Each maximal run of inserts is keyed whole and resolved in one frontier
+// pass (see index); updates and deletes apply on their own.
 //
 // Records are validated up front against the sequential state the batch
 // builds — later records see earlier ones, so a batch may insert a
@@ -347,14 +355,12 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []Record) error {
 		return err
 	}
 	r.perf.JournalAppends++
-	for i := range recs {
-		if err := r.applyBatchRecord(&recs[i]); err != nil {
-			// Validation makes this unreachable. If it ever happens memory may
-			// hold a partial apply the journal cannot reproduce, so refuse
-			// further mutation rather than let the divergence reach a snapshot.
-			r.broken = fmt.Errorf("%w: batch record %d failed mid-apply: %v", ErrBroken, i, err)
-			return r.broken
-		}
+	if i, err := r.applyRecords(recs, false); err != nil {
+		// Validation makes this unreachable. If it ever happens memory may
+		// hold a partial apply the journal cannot reproduce, so refuse
+		// further mutation rather than let the divergence reach a snapshot.
+		r.broken = fmt.Errorf("%w: batch record %d failed mid-apply: %v", ErrBroken, i, err)
+		return r.broken
 	}
 	if entry.Kind == OpBatch {
 		r.lastRecord = &entry
@@ -519,26 +525,45 @@ func validSource(kind entity.Kind, source int) error {
 	return nil
 }
 
-// applyBatchRecord applies one validated batch sub-record. Validation makes
-// every failure a "cannot happen" divergence the caller escalates. Callers
-// hold r.mu.
-func (r *Resolver) applyBatchRecord(rec *Record) error {
-	switch rec.Kind {
-	case OpInsert:
-		if rec.ID != r.coll.Len() {
-			return fmt.Errorf("incremental: batch insert assigned handle %d but %d slots exist", rec.ID, r.coll.Len())
+// applyRecords applies direct-path records in order — ApplyBatch's and
+// journal replay's (replay true) — each maximal run of inserts with
+// consecutive handles through insertRun. On replay a handle gap burns
+// slots (see burnSlot) and other kinds go through replayRecord. It reports
+// the index of the failing record or run. Callers hold r.mu.
+func (r *Resolver) applyRecords(recs []Record, replay bool) (int, error) {
+	for i := 0; i < len(recs); {
+		rec, j := &recs[i], i+1
+		var err error
+		switch {
+		case rec.Seq != 0 || (rec.Kind != OpInsert && rec.Kind != OpUpdate && rec.Kind != OpDelete):
+			err = fmt.Errorf("incremental: batch record has kind %v", rec.Kind)
+			if replay {
+				err = r.replayRecord(*rec)
+			}
+		case rec.Kind == OpInsert:
+			if rec.ID < r.coll.Len() || (!replay && rec.ID != r.coll.Len()) {
+				return i, fmt.Errorf("incremental: insert assigns handle %d but %d slots exist", rec.ID, r.coll.Len())
+			}
+			for r.coll.Len() < rec.ID {
+				r.burnSlot()
+			}
+			for j < len(recs) && recs[j].Kind == OpInsert && recs[j].Seq == 0 && recs[j].ID == recs[j-1].ID+1 {
+				j++
+			}
+			err = r.insertRun(recs[i:j])
+		case !r.isLive(rec.ID):
+			err = fmt.Errorf("incremental: %s of handle %d, which is not live", rec.Kind, rec.ID)
+		case rec.Kind == OpUpdate:
+			err = r.applyUpdate(rec.ID, rec.Attrs)
+		default:
+			r.applyDelete(rec.ID)
 		}
-		d := &entity.Description{ID: -1, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		_, err := r.applyInsert(d)
-		return err
-	case OpUpdate:
-		return r.applyUpdate(rec.ID, rec.Attrs)
-	case OpDelete:
-		r.applyDelete(rec.ID)
-		return nil
-	default:
-		return fmt.Errorf("incremental: batch record has kind %v", rec.Kind)
+		if err != nil {
+			return i, err
+		}
+		i = j
 	}
+	return 0, nil
 }
 
 // Lookup returns the handle of the live description with the given URI.
@@ -569,59 +594,87 @@ func (r *Resolver) retire(id entity.ID) {
 	}
 }
 
-// index keys the (live, current) description id into the block index and
-// resolves its delta frontier through the matching worker pool, folding the
-// positives into the match graph. With meta-blocking configured the delta
-// instead flows into the weighted blocking graph (via the membership
-// observer) and matching is deferred to the next read's reconcile, which
-// prunes the accumulated frontier before the matcher sees it — see
-// meta.go. An admitted operation always completes, so matching runs under
-// a context that never cancels; the only failure is the block index
-// refusing a description validation already accepted. Callers hold r.mu.
-func (r *Resolver) index(id entity.ID) error {
-	d := r.coll.Get(id)
-	if err := r.blocks.Add(id, d.Source, r.keyer(d)); err != nil {
-		return fmt.Errorf("incremental: %w", err)
+// frontierChunk bounds the pairs index hands the matcher pool at once.
+const frontierChunk = 4096
+
+// index keys the (live, current) descriptions [lo, hi) in handle order and
+// resolves their frontier in one pass: each distinct pair of a record x of
+// the range with a co-blocked record outside it or below x — exactly what
+// resolving them one at a time compares. Walk and DeltaFilter run on this
+// goroutine, comparisons on the pool over one row map, so each member is
+// tokenized once. Under meta-blocking matching is instead deferred to the
+// next read's reconcile (see meta.go). Matching runs under a context that
+// never cancels, as an admitted operation always completes. Callers hold
+// r.mu.
+func (r *Resolver) index(lo, hi entity.ID) error {
+	for id := lo; id < hi; id++ {
+		d := r.coll.Get(id)
+		if err := r.blocks.Add(id, d.Source, r.keyer(d)); err != nil {
+			return fmt.Errorf("incremental: %w", err)
+		}
 	}
 	if r.weighted != nil {
 		r.metaDirty = true
 		return nil
 	}
-	out, err := matching.ResolvePairs(context.Background(), r.coll, r.deltaPairs(id, d), r.cfg.Matcher, r.cfg.Workers)
-	if err != nil {
-		return fmt.Errorf("incremental: delta matching: %w", err)
+	var rows map[entity.ID][]string
+	pairs := r.frontier[:0]
+	for x := lo; x < hi; x++ {
+		var claim func(string, *entity.Description) bool
+		if r.cfg.DeltaFilter != nil {
+			claim = r.cfg.DeltaFilter(r.coll.Get(x))
+		}
+		r.walk(x, hi, func(key string, y entity.ID) bool {
+			if claim != nil && !claim(key, r.coll.Get(y)) {
+				return false
+			}
+			pairs = append(pairs, entity.NewPair(x, y))
+			return true
+		})
+		if len(pairs) < frontierChunk && (x < hi-1 || len(pairs) == 0) {
+			continue
+		}
+		if rows == nil {
+			rows = make(map[entity.ID][]string, len(pairs)+1)
+		}
+		out, err := matching.ResolvePairsRows(context.Background(), r.coll, pairs, r.cfg.Matcher, r.cfg.Workers, rows)
+		if err != nil {
+			return fmt.Errorf("incremental: delta matching: %w", err)
+		}
+		r.stats.Comparisons += out.Comparisons
+		out.Matches.Each(func(p entity.Pair) bool {
+			r.dyn.AddEdge(p.A, p.B, 1)
+			return true
+		})
+		pairs = pairs[:0]
 	}
-	r.stats.Comparisons += out.Comparisons
-	out.Matches.Each(func(p entity.Pair) bool {
-		r.dyn.AddEdge(p.A, p.B, 1)
-		return true
-	})
+	r.frontier = pairs
 	return nil
 }
 
-// deltaPairs returns d's comparison frontier as pairs: id against each
-// distinct candidate of its delta blocks, ascending, keeping only the
-// candidates the configured DeltaFilter claims for this resolver under at
-// least one key. Callers hold r.mu.
-func (r *Resolver) deltaPairs(id entity.ID, d *entity.Description) []entity.Pair {
-	var claim func(string, *entity.Description) bool
-	if r.cfg.DeltaFilter != nil {
-		claim = r.cfg.DeltaFilter(d)
+// walk offers visit each record sharing a key with x and comparable to it,
+// except x and the records in (x, hi), which meet x in their own walk.
+// Keys go ascending and a candidate visit takes (returns true for) is not
+// offered again, so one always taken is visited under its smallest shared
+// key. The stamps are shared: callers hold r.mu exclusively.
+func (r *Resolver) walk(x, hi entity.ID, visit func(key string, y entity.ID) bool) {
+	if n := r.coll.Len(); len(r.stamp) < n {
+		r.stamp = append(r.stamp, make([]uint64, n-len(r.stamp))...)
 	}
-	var others []entity.ID
-	for _, b := range r.blocks.DeltaBlocks(id).All() {
-		for _, other := range b.S1 {
-			if claim == nil || claim(b.Key, r.coll.Get(other)) {
-				others = append(others, other)
+	r.epoch++ // 64 bits: never wraps
+	clean := r.cfg.Kind == entity.CleanClean
+	src := r.coll.Get(x).Source
+	for _, key := range r.blocks.Keys(x) {
+		for _, p := range r.blocks.Postings(key) {
+			y := p.Doc
+			if y == x || (y > x && y < hi) || r.stamp[y] == r.epoch || (clean && r.coll.Get(y).Source == src) {
+				continue
+			}
+			if visit(key, y) {
+				r.stamp[y] = r.epoch
 			}
 		}
 	}
-	slices.Sort(others)
-	pairs := make([]entity.Pair, 0, len(others))
-	for _, other := range slices.Compact(others) {
-		pairs = append(pairs, entity.NewPair(id, other))
-	}
-	return pairs
 }
 
 // rlock takes the shared lock for a read that needs no reconcile. The
@@ -682,7 +735,7 @@ func (r *Resolver) Stats() (Stats, error) {
 	st := r.stats
 	st.Live = r.liveCount
 	st.Matches = r.dyn.NumEdges()
-	st.Clusters = len(r.dyn.Clusters())
+	st.Clusters = r.dyn.NumClusters()
 	if r.weighted != nil {
 		st.CandidatePairs = r.weighted.NumPairs()
 		st.KeptPairs = len(r.lastKept)
@@ -709,6 +762,16 @@ func (r *Resolver) Clusters() ([][]entity.ID, error) {
 	}
 	defer r.mu.RUnlock()
 	return r.dyn.Clusters(), nil
+}
+
+// ClusterOf returns id's entity cluster, ascending, or nil when id matches
+// nothing — O(cluster size) — reconciling deferred meta-blocking work first.
+func (r *Resolver) ClusterOf(id entity.ID) ([]entity.ID, error) {
+	if err := r.lockShared(context.Background()); err != nil {
+		return nil, err
+	}
+	defer r.mu.RUnlock()
+	return r.dyn.ClusterOf(id), nil
 }
 
 // Blocks materializes the current block collection — identical to what the

@@ -175,15 +175,7 @@ func (r *Resolver) applyRouted(op RoutedOp) error {
 			r.stats.Inserts++
 			return nil
 		}
-		d := &entity.Description{ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-		id, err := r.applyInsert(d)
-		if err != nil {
-			return err
-		}
-		if id != op.ID {
-			return fmt.Errorf("incremental: routed insert landed at handle %d, coordinator assigned %d", id, op.ID)
-		}
-		return nil
+		return r.insertRun([]Record{{Kind: OpInsert, ID: op.ID, URI: op.URI, Source: op.Source, Attrs: op.Attrs}})
 	case OpUpdate:
 		if op.Advance {
 			r.stats.Updates++
@@ -226,7 +218,7 @@ func (r *Resolver) materialize(op RoutedOp) error {
 	}
 	r.liveCount++
 	r.stats.Updates++
-	return r.index(op.ID)
+	return r.index(op.ID, op.ID+1)
 }
 
 // replayRouted re-applies one journaled routed record during recovery.
@@ -249,49 +241,25 @@ func (r *Resolver) replayRouted(rec Record) error {
 // EachDeltaCandidate enumerates the distinct delta-frontier candidates of
 // a live description, each with the pair's claim key — the first shared
 // blocking key, the key whose owning shard evaluates the pair in a sharded
-// deployment. On a full (unfiltered) index the enumeration visits exactly
-// the pairs a single-node resolver compares when an operation (re)indexes
-// id, each pair once, so bucketing the visit count by key owner reproduces
-// every shard's comparison count for the operation without running a
-// matcher. A networked coordinator uses this to ship an exact Comparisons
-// counter to a shard that died before acknowledging the stream's last
-// operation. Enumeration stops early when fn returns false.
+// deployment. It is the frontier walk (see walk) of an operation that
+// (re)indexes id alone, so on a full (unfiltered) index it visits exactly
+// the pairs a single-node resolver compares for that operation, each once:
+// bucketing the visits by key owner reproduces every shard's comparison
+// count without running a matcher. A networked coordinator uses this to
+// ship an exact Comparisons counter to a shard that died before
+// acknowledging the stream's last operation. It stops calling fn once fn
+// returns false; the walk's stamps need the lock held exclusively.
 func (r *Resolver) EachDeltaCandidate(id entity.ID, fn func(other entity.ID, claimKey string) bool) {
-	r.rlock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if !r.isLive(id) {
 		return
 	}
-	keys := r.blocks.Keys(id)
-	for _, b := range r.blocks.DeltaBlocks(id).All() {
-		for _, other := range b.S1 {
-			// A candidate appears under every shared key; its claim key is
-			// the smallest, as in the shard claim filters.
-			if fs, ok := firstSharedSorted(keys, r.blocks.Keys(other)); !ok || fs != b.Key {
-				continue
-			}
-			if !fn(other, b.Key) {
-				return
-			}
-		}
-	}
-}
-
-// firstSharedSorted returns the smallest key present in both ascending-
-// sorted distinct key sets.
-func firstSharedSorted(a, b []string) (string, bool) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return a[i], true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return "", false
+	more := true
+	r.walk(id, id+1, func(key string, other entity.ID) bool {
+		more = more && fn(other, key)
+		return true
+	})
 }
 
 // MatchedWith returns the handles currently matched to id — its direct

@@ -3,6 +3,7 @@ package incremental
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"entityres/internal/blocking"
@@ -147,10 +148,10 @@ func TestEachDeltaCandidate(t *testing.T) {
 	}
 	// The claim key is the smallest shared key of the pair.
 	ka, kb := r.blocks.Keys(a), r.blocks.Keys(b)
-	if fs, shared := firstSharedSorted(ka, kb); !shared || fs != key {
+	if fs := smallestShared(ka, kb); fs != key {
 		t.Fatalf("claim key %q, first shared of %v and %v is %q", key, ka, kb, fs)
 	}
-	if fs, shared := firstSharedSorted(r.blocks.Keys(c), kb); shared {
+	if fs := smallestShared(r.blocks.Keys(c), kb); fs != "" {
 		t.Fatalf("disjoint key sets share %q", fs)
 	}
 
@@ -164,6 +165,71 @@ func TestEachDeltaCandidate(t *testing.T) {
 		t.Fatal("candidates enumerated for a dead handle")
 		return false
 	})
+}
+
+// smallestShared returns the smallest key of a (ascending) that b holds,
+// "" when none.
+func smallestShared(a, b []string) string {
+	for _, k := range a {
+		if slices.Contains(b, k) {
+			return k
+		}
+	}
+	return ""
+}
+
+// TestFrontierWalk pins the frontier walk every apply path and
+// EachDeltaCandidate share: on a clean-clean index it offers only the
+// other source's co-blocked records, each candidate it takes once and
+// under the smallest key it shares with the walked record, a declined
+// candidate again under its next key, and never the walked range's
+// records above the walked one.
+func TestFrontierWalk(t *testing.T) {
+	r := newTestResolver(t, entity.CleanClean)
+	for _, rec := range []struct {
+		src  int
+		text string
+	}{{0, "kx ky"}, {0, "kx"}, {1, "kx ky"}, {1, "ky kz"}, {1, "kx kz"}} {
+		d := entity.NewDescription("")
+		d.Source = rec.src
+		d.Add("t", rec.text)
+		if _, err := r.Insert(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type visit struct {
+		key string
+		y   entity.ID
+	}
+	walk := func(x, hi entity.ID, take func(visit) bool) []visit {
+		var got []visit
+		r.walk(x, hi, func(key string, y entity.ID) bool {
+			got = append(got, visit{key, y})
+			return take(visit{key, y})
+		})
+		return got
+	}
+	always := func(visit) bool { return true }
+	// 0 (source 0) meets 2 under kx and ky, 4 under kx and 3 under ky:
+	// taken candidates are offered once, at their smallest shared key.
+	if got, want := walk(0, 1, always), []visit{{"kx", 2}, {"kx", 4}, {"ky", 3}}; !slices.Equal(got, want) {
+		t.Fatalf("walk(0) = %v, want %v", got, want)
+	}
+	// A declined candidate is offered again under its next shared key.
+	declineKx := func(v visit) bool { return v.key != "kx" }
+	if got, want := walk(0, 1, declineKx), []visit{{"kx", 2}, {"kx", 4}, {"ky", 2}, {"ky", 3}}; !slices.Equal(got, want) {
+		t.Fatalf("walk(0) declining kx = %v, want %v", got, want)
+	}
+	// Walking 2 within the range [2, 5): 0 and 1 lie below the range and
+	// are offered; 3 and 4 lie above 2 in it and are left to their own walk.
+	if got, want := walk(2, 5, always), []visit{{"kx", 0}, {"kx", 1}}; !slices.Equal(got, want) {
+		t.Fatalf("walk(2) in [2,5) = %v, want %v", got, want)
+	}
+	// Walking 4 as the last of the range meets 0 and 1; record 2 and 3
+	// share its source.
+	if got, want := walk(4, 5, always), []visit{{"kx", 0}, {"kx", 1}}; !slices.Equal(got, want) {
+		t.Fatalf("walk(4) = %v, want %v", got, want)
+	}
 }
 
 // TestRoutedReplay journals a routed stream durably, crashes past a

@@ -252,29 +252,25 @@ func (m *Matcher) describe(c *entity.Collection) func(a, b entity.ID) bool {
 }
 
 // bind returns m's decision for one resolve call over pairs. For a
-// similarity with a row form (see rowForm) it tokenizes each distinct
-// member of the pairs once into a sorted, duplicate-free row and decides a
-// pair by merging the two rows. The rows live only for the call, and the
-// ID → row map is sized by the members, never by the collection. Every
-// other similarity is called through Match on the descriptions.
-func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair) func(a, b entity.ID) bool {
+// similarity with a row form (see rowForm) it tokenizes each member of the
+// pairs without a row in rows once into a sorted, duplicate-free row, kept
+// in rows, and decides a pair by merging the two rows. Every other
+// similarity is called through Match on the descriptions.
+func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair, rows map[entity.ID][]string) func(a, b entity.ID) bool {
 	prof, kernel, ok := m.rowForm()
 	if !ok {
 		return m.describe(c)
 	}
-	slot := make(map[entity.ID]int)
-	var rows [][]string
 	for _, p := range pairs {
 		for _, id := range [2]entity.ID{p.A, p.B} {
-			if _, ok := slot[id]; !ok {
-				slot[id] = len(rows)
-				rows = append(rows, tokenRow(prof, c.Get(id)))
+			if _, ok := rows[id]; !ok {
+				rows[id] = tokenRow(prof, c.Get(id))
 			}
 		}
 	}
 	threshold := m.Threshold
 	return func(a, b entity.ID) bool {
-		return kernel(rows[slot[a]], rows[slot[b]]) >= threshold
+		return kernel(rows[a], rows[b]) >= threshold
 	}
 }
 

@@ -85,12 +85,18 @@ func ResolveBlocksRows(ctx context.Context, c *entity.Collection, bs *blocking.B
 
 // ResolvePairs executes the matcher over an explicit pair list, once per
 // listed pair, with a pool of workers claiming chunks of the list (<= 0
-// means GOMAXPROCS; a list of at most one chunk runs inline). It is the
-// entry point of the streaming resolvers, whose pairs are a few per
-// operation: token rows are bound through a map sized by the pairs'
-// members, never by the collection. When ctx is cancelled the partial
-// result is returned together with ctx.Err().
+// means GOMAXPROCS; a list of at most one chunk runs inline). It is
+// ResolvePairsRows binding its rows afresh. When ctx is cancelled the
+// partial result is returned together with ctx.Err().
 func ResolvePairs(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int) (Result, error) {
+	return ResolvePairsRows(ctx, c, pairs, m, workers, make(map[entity.ID][]string))
+}
+
+// ResolvePairsRows is ResolvePairs binding token rows into rows (see bind):
+// the entry point of the streaming resolvers, whose rows are sized by the
+// pairs' members, never by the collection. Chunks of a long frontier
+// resolved over one map, whose members do not change, tokenize each once.
+func ResolvePairsRows(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int, rows map[entity.ID][]string) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -98,7 +104,7 @@ func ResolvePairs(ctx context.Context, c *entity.Collection, pairs []entity.Pair
 		return Result{Matches: entity.NewMatches()}, err
 	}
 	workers = poolSize(workers, (len(pairs)+pairChunk-1)/pairChunk)
-	match := m.bind(c, pairs)
+	match := m.bind(c, pairs, rows)
 	shares := make([]share, workers)
 	err := forChunks(ctx, len(pairs), workers, pairChunk, func(w, lo, hi int) {
 		s := &shares[w]

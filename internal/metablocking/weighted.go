@@ -225,17 +225,16 @@ func (wg *WeightedGraph) RemoveDocument(bi *blocking.BlockIndex, id entity.ID, s
 // every other member is a comparison partner. The scratch slices are
 // reused across keys.
 func (wg *WeightedGraph) partition(bi *blocking.BlockIndex, key string, id entity.ID, source int, same, opp []entity.ID) ([]entity.ID, []entity.ID) {
-	bi.EachMember(key, func(m entity.ID, ms int) bool {
-		if m == id {
-			return true
+	for _, p := range bi.Postings(key) {
+		if p.Doc == id {
+			continue
 		}
-		if wg.kind == entity.CleanClean && ms == source {
-			same = append(same, m)
+		if ms, _ := bi.SourceOf(p.Doc); wg.kind == entity.CleanClean && ms == source {
+			same = append(same, p.Doc)
 		} else {
-			opp = append(opp, m)
+			opp = append(opp, p.Doc)
 		}
-		return true
-	})
+	}
 	return same, opp
 }
 

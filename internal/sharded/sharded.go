@@ -660,7 +660,7 @@ func (r *Resolver) Stats() (incremental.Stats, error) {
 	st := r.stats
 	st.Live = r.liveCount
 	st.Matches = r.dyn.NumEdges()
-	st.Clusters = len(r.dyn.Clusters())
+	st.Clusters = r.dyn.NumClusters()
 	st.Comparisons = r.comparisonsLocked()
 	if r.cfg.Meta != nil {
 		if r.merged != nil {
@@ -701,6 +701,16 @@ func (r *Resolver) Clusters() ([][]entity.ID, error) {
 	}
 	defer r.mu.RUnlock()
 	return r.dyn.Clusters(), nil
+}
+
+// ClusterOf returns id's global entity cluster, ascending, or nil when id
+// matches nothing, reconciling deferred meta-blocking work first.
+func (r *Resolver) ClusterOf(id entity.ID) ([]entity.ID, error) {
+	if err := r.lockShared(context.Background()); err != nil {
+		return nil, err
+	}
+	defer r.mu.RUnlock()
+	return r.dyn.ClusterOf(id), nil
 }
 
 // Blocks materializes the global block collection: the union of the

@@ -659,7 +659,7 @@ func (r *Coordinator) Stats() (incremental.Stats, error) {
 		st.Comparisons += comp
 	}
 	st.Matches = r.dyn.NumEdges()
-	st.Clusters = len(r.dyn.Clusters())
+	st.Clusters = r.dyn.NumClusters()
 	return st, nil
 }
 
@@ -682,6 +682,17 @@ func (r *Coordinator) Clusters() ([][]entity.ID, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.dyn.Clusters(), nil
+}
+
+// ClusterOf returns id's global entity cluster, ascending, or nil when id
+// matches nothing.
+func (r *Coordinator) ClusterOf(id entity.ID) ([]entity.ID, error) {
+	if r.cfg.Meta != nil {
+		return r.rep.ClusterOf(id)
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.dyn.ClusterOf(id), nil
 }
 
 // MatchedWith returns the handles currently matched to id, reconciling
