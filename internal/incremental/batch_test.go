@@ -205,6 +205,9 @@ func TestBatchValidation(t *testing.T) {
 		{"routed-seq-set", []incremental.Record{
 			{Kind: incremental.OpInsert, ID: -1, URI: "u:new", Attrs: attrs, Seq: 7},
 		}},
+		{"slot-advance-set", []incremental.Record{
+			{Kind: incremental.OpInsert, ID: -1, URI: "u:new", Attrs: attrs, Advance: true},
+		}},
 		{"non-mutation-kind", []incremental.Record{
 			{Kind: incremental.OpReconcile, ID: -1},
 		}},

@@ -41,7 +41,7 @@ type Record struct {
 	// Seq, when non-zero, marks a routed-stream record (see routed.go): the
 	// coordinator's global operation sequence number, journaled so recovery
 	// restores exactly the acknowledged prefix of the stream and replays the
-	// record through the routed apply path.
+	// record with its routed forms.
 	Seq uint64
 	// Advance marks a routed slot-advance record — no payload, only slot
 	// space and counter alignment. Meaningful only with Seq set.
@@ -50,14 +50,14 @@ type Record struct {
 	// resolver is about to assign, which replay verifies (and uses to
 	// reproduce burned slots).
 	ID entity.ID
-	// URI and Source describe an inserted description.
+	// URI and Source describe an inserted (or routed-updated) description.
 	URI    string
 	Source int
 	// Attrs is the full attribute set (insert, update).
 	Attrs []entity.Attribute
 	// Batch holds the sub-records of an OpBatch record — the operations of
-	// one ApplyBatch call, journaled as a single append and replayed
-	// atomically. Empty for every other kind.
+	// one ApplyBatch call or routed frame, journaled as a single append and
+	// replayed atomically. Empty for every other kind.
 	Batch []Record
 }
 
@@ -96,9 +96,9 @@ type DurableOptions struct {
 	// size (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
 	// SnapshotEvery compacts — snapshot plus WAL truncation — after this
-	// many journaled operations (default DefaultSnapshotEvery; negative
-	// disables automatic compaction, leaving cadence to explicit Compact
-	// calls).
+	// many journal records, a batch or routed frame counting once (default
+	// DefaultSnapshotEvery; negative disables automatic compaction, leaving
+	// cadence to explicit Compact calls).
 	SnapshotEvery int
 	// NoSync skips the per-append fsync. A process crash loses nothing (the
 	// page cache survives it); a machine crash may lose operations
@@ -135,10 +135,11 @@ type RecoveryInfo struct {
 	// after — replay started there; 0 when no snapshot was found.
 	SnapshotSegment uint64
 	// ReplayedRecords counts the journal records replayed after the
-	// snapshot: the recovery cost, bounded by the tail of the stream —
-	// at most SnapshotEvery operations plus their interleaved reconcile
-	// records (each requires a preceding operation, so the tail never
-	// exceeds twice the compaction cadence) — never by its lifetime.
+	// snapshot, a batch or routed frame counting once: the recovery cost,
+	// bounded by the tail of the stream — at most SnapshotEvery records
+	// plus their interleaved reconcile records (each requires a preceding
+	// record, so the tail never exceeds twice the compaction cadence) —
+	// never by its lifetime.
 	ReplayedRecords int
 }
 
@@ -485,7 +486,7 @@ var errClosed = fmt.Errorf("incremental: resolver is closed")
 // working resolver at the last acknowledged operation.
 var ErrBroken = errors.New("incremental: journal diverged from memory; resolver disabled")
 
-// maybeCompact advances the compaction cadence after a journaled operation.
+// maybeCompact advances the compaction cadence after a journal record.
 // Callers hold r.mu.
 func (r *Resolver) maybeCompact() error {
 	if r.snapEvery <= 0 {
@@ -524,18 +525,12 @@ func (r *Resolver) retractRecord() {
 	}
 }
 
-// replayRecord re-applies one journaled operation during recovery; direct-
-// path records go through ApplyBatch's run splitter (applyRecords), where
-// an insert's handle gap reproduces burned slots (see burnSlot).
+// replayRecord re-applies one journaled operation during recovery through
+// the live apply paths' run splitter (applyRecords), where a direct
+// insert's handle gap reproduces burned slots (see burnSlot).
 func (r *Resolver) replayRecord(rec Record) error {
-	switch {
-	case rec.Seq > 0:
-		// A routed-stream record (see routed.go): replayed through the routed
-		// apply path, which advances the acknowledged sequence number and
-		// tolerates the states routing creates (placeholder slots,
-		// materializing updates) that the direct path refuses.
-		return r.replayRouted(rec)
-	case rec.Kind == OpReconcile:
+	switch rec.Kind {
+	case OpReconcile:
 		// Re-run the deferred meta-blocking reconcile at the same point of
 		// the stream the original read performed it: the evaluated pairs,
 		// cached decisions and comparison counts come out identical. During
@@ -545,11 +540,21 @@ func (r *Resolver) replayRecord(rec Record) error {
 			return fmt.Errorf("incremental: replaying reconcile: %w", err)
 		}
 		return nil
-	case rec.Kind == OpInsert, rec.Kind == OpUpdate, rec.Kind == OpDelete, rec.Kind == OpBatch:
+	case OpInsert, OpUpdate, OpDelete, OpBatch:
 		// One WAL frame holds a whole batch, so recovery sees it all or not
 		// at all: a torn final append is truncated away by the WAL layer
 		// before replay starts, and a decoded batch replays every sub-record.
-		if i, err := r.applyRecords(rec.Ops(), true); err != nil {
+		ops := rec.Ops()
+		if len(ops) > 0 && ops[0].Seq != 0 {
+			// A routed frame (or an older journal's lone routed record).
+			if skip, err := r.routedSkip(ops); err != nil || skip != 0 {
+				return fmt.Errorf("incremental: journal routed record %d follows %d — the log has a gap", ops[0].Seq, r.lastSeq)
+			}
+			if err := r.validateBatch(ops, true); err != nil {
+				return err
+			}
+		}
+		if i, err := r.applyRecords(ops, true, nil); err != nil {
 			return fmt.Errorf("incremental: replaying %s, operation %d: %w", rec.Kind, i, err)
 		}
 		if rec.Kind == OpBatch {

@@ -129,8 +129,8 @@ type Resolver struct {
 	// journal.go). New installs the no-op journal; OpenResolver the
 	// WAL-backed one.
 	journal Journal
-	// snapEvery > 0 compacts the journal every snapEvery operations;
-	// sinceSnap counts operations since the last checkpoint.
+	// snapEvery > 0 compacts the journal every snapEvery journal records;
+	// sinceSnap counts records since the last checkpoint.
 	snapEvery int
 	sinceSnap int
 	// recovery describes what OpenResolver restored; lastRecord is the
@@ -347,15 +347,23 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []Record) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("incremental: batch admission: %w", err)
 	}
-	if err := r.validateBatch(recs); err != nil {
+	if err := r.validateBatch(recs, false); err != nil {
 		return err
 	}
+	return r.commit(recs, nil)
+}
+
+// commit journals validated records as one entry (see journalEntry) and
+// applies them through the run splitter — the tail ApplyBatch and
+// ApplyRouted share: one append, one fsync, one compaction tick. neighbors
+// is applyRecords'. Callers hold r.mu.
+func (r *Resolver) commit(recs []Record, neighbors [][]entity.ID) error {
 	entry := journalEntry(recs)
 	if err := r.journal.Record(entry); err != nil {
 		return err
 	}
 	r.perf.JournalAppends++
-	if i, err := r.applyRecords(recs, false); err != nil {
+	if i, err := r.applyRecords(recs, false, neighbors); err != nil {
 		// Validation makes this unreachable. If it ever happens memory may
 		// hold a partial apply the journal cannot reproduce, so refuse
 		// further mutation rather than let the divergence reach a snapshot.
@@ -371,16 +379,20 @@ func (r *Resolver) ApplyBatch(ctx context.Context, recs []Record) error {
 // journalEntry renders a validated batch as its single journal record. A
 // batch of one is the bare operation in the per-op record shape — so a
 // single mutation's WAL bytes, replay and LastRecord are exactly what they
-// always were — and the apply helpers record it as lastRecord themselves.
-// A longer batch is an OpBatch record holding private copies of the
-// sub-records, since it outlives the call as lastRecord.
+// always were — and the apply helpers record it as lastRecord themselves;
+// a routed record keeps every field. A longer batch is an OpBatch record
+// holding private copies of the sub-records, since it outlives the call as
+// lastRecord.
 func journalEntry(recs []Record) Record {
 	if len(recs) == 1 {
 		rec := recs[0]
-		switch rec.Kind {
-		case OpInsert:
+		switch {
+		case rec.Seq != 0:
+			rec.Batch = nil
+			return rec
+		case rec.Kind == OpInsert:
 			return Record{Kind: OpInsert, ID: rec.ID, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-		case OpUpdate:
+		case rec.Kind == OpUpdate:
 			return Record{Kind: OpUpdate, ID: rec.ID, Attrs: rec.Attrs}
 		default:
 			return Record{Kind: OpDelete, ID: rec.ID}
@@ -395,16 +407,16 @@ func journalEntry(recs []Record) Record {
 	return batch
 }
 
-// validateBatch checks every record of a batch against the sequential
-// state the batch will build, resolving URI-addressed updates and deletes
-// and assigning insert handles into recs. Nothing is mutated; any error
-// rejects the whole batch. Callers hold r.mu.
-func (r *Resolver) validateBatch(recs []Record) error {
-	err := PlanBatch(r.cfg.Kind, r.coll.Len(),
+// validateBatch checks every record of a batch — or, routed, of a routed
+// frame — against the sequential state the batch will build, resolving
+// URI-addressed updates and deletes and assigning insert handles into recs.
+// Nothing is mutated; any error rejects the whole batch. Callers hold r.mu.
+func (r *Resolver) validateBatch(recs []Record, routed bool) error {
+	err := planBatch(r.cfg.Kind, r.coll.Len(),
 		func(uri string) (entity.ID, bool) { id, ok := r.byURI[uri]; return id, ok },
 		r.isLive,
 		func(id entity.ID) string { return r.coll.Get(id).URI },
-		recs)
+		recs, routed)
 	if err != nil {
 		return fmt.Errorf("incremental: %w", err)
 	}
@@ -423,9 +435,16 @@ func (r *Resolver) validateBatch(recs []Record) error {
 // into recs, and any invalid record rejects the whole batch. Errors carry
 // no package prefix; callers wrap.
 func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID, bool), isLive func(entity.ID) bool, uriOf func(entity.ID) string, recs []Record) error {
+	return planBatch(kind, next, lookup, isLive, uriOf, recs, false)
+}
+
+// planBatch is PlanBatch over direct records or, routed, over a routed
+// frame's records (see ApplyRouted), which name their handles: an insert
+// the next slot, an update or delete any existing slot, live or not.
+func planBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID, bool), isLive func(entity.ID) bool, uriOf func(entity.ID) string, recs []Record, routed bool) error {
 	// Overlays over the committed state: URIs the batch has bound or freed
-	// so far, slots whose liveness it has changed, and the URIs of its own
-	// inserts (for a later delete to free).
+	// so far, slots whose liveness it has changed, and the URIs of the
+	// slots it bound (for a later delete to free).
 	nextID := next
 	bound := make(map[string]entity.ID)
 	freed := make(map[string]bool)
@@ -446,6 +465,26 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 		}
 		return isLive(id)
 	}
+	bind := func(id entity.ID, uri string) {
+		liveOv[id] = true
+		slotURI[id] = uri
+		if uri != "" {
+			bound[uri] = id
+		}
+	}
+	free := func(id entity.ID) {
+		liveOv[id] = false
+		uri, ok := slotURI[id]
+		if !ok {
+			uri = uriOf(id)
+		}
+		if uri != "" {
+			if have, bnd := bound[uri]; bnd && have == id {
+				delete(bound, uri)
+			}
+			freed[uri] = true
+		}
+	}
 	// Errors name the offending record, except in a batch of one — a
 	// single Insert, Update or Delete — where there is only one to name.
 	at := func(i int) string {
@@ -456,8 +495,38 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 	}
 	for i := range recs {
 		rec := &recs[i]
-		if rec.Seq != 0 {
-			return fmt.Errorf("%scarries a routed sequence number; routed streams batch through the transport frame", at(i))
+		if rec.Kind != OpInsert && rec.Kind != OpUpdate && rec.Kind != OpDelete {
+			return fmt.Errorf("%sunknown op kind %v; batches hold inserts, updates and deletes", at(i), rec.Kind)
+		}
+		if routed {
+			// A payload can materialize the description: mirror Add's check.
+			if err := validSource(kind, rec.Source); err != nil {
+				return fmt.Errorf("%srouted %s: %w", at(i), rec.Kind, err)
+			}
+			if rec.Kind == OpInsert {
+				if rec.ID != nextID {
+					return fmt.Errorf("%srouted insert assigns handle %d but the next slot is %d", at(i), rec.ID, nextID)
+				}
+				nextID++
+			} else if rec.ID < 0 || rec.ID >= nextID {
+				return fmt.Errorf("%srouted %s targets handle %d, which does not exist", at(i), rec.Kind, rec.ID)
+			}
+			// Checked globally too, but a collision would corrupt byURI.
+			if !rec.Advance && rec.URI != "" {
+				if have, taken := lookupOv(rec.URI); taken && have != rec.ID {
+					return fmt.Errorf("%srouted %s of %q collides with live handle %d", at(i), rec.Kind, rec.URI, have)
+				}
+			}
+			switch live := isLiveOv(rec.ID); {
+			case rec.Kind == OpDelete && live:
+				free(rec.ID)
+			case rec.Kind != OpDelete && !rec.Advance && !live:
+				bind(rec.ID, rec.URI) // a full insert, or a materializing update
+			}
+			continue
+		}
+		if rec.Seq != 0 || rec.Advance {
+			return fmt.Errorf("%sis a routed record; routed streams batch through the transport frame", at(i))
 		}
 		switch rec.Kind {
 		case OpInsert:
@@ -473,12 +542,8 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 			}
 			rec.ID = nextID
 			nextID++
-			liveOv[rec.ID] = true
-			slotURI[rec.ID] = rec.URI
-			if rec.URI != "" {
-				bound[rec.URI] = rec.ID
-			}
-		case OpUpdate, OpDelete:
+			bind(rec.ID, rec.URI)
+		default:
 			if rec.ID < 0 {
 				id, ok := lookupOv(rec.URI)
 				if !ok {
@@ -490,20 +555,8 @@ func PlanBatch(kind entity.Kind, next entity.ID, lookup func(string) (entity.ID,
 				return fmt.Errorf("%s%s of unknown description %d", at(i), rec.Kind, rec.ID)
 			}
 			if rec.Kind == OpDelete {
-				liveOv[rec.ID] = false
-				uri, ok := slotURI[rec.ID]
-				if !ok {
-					uri = uriOf(rec.ID)
-				}
-				if uri != "" {
-					if id, bnd := bound[uri]; bnd && id == rec.ID {
-						delete(bound, uri)
-					}
-					freed[uri] = true
-				}
+				free(rec.ID)
 			}
-		default:
-			return fmt.Errorf("%sunknown op kind %v; batches hold inserts, updates and deletes", at(i), rec.Kind)
 		}
 	}
 	return nil
@@ -525,21 +578,26 @@ func validSource(kind entity.Kind, source int) error {
 	return nil
 }
 
-// applyRecords applies direct-path records in order — ApplyBatch's and
-// journal replay's (replay true) — each maximal run of inserts with
-// consecutive handles through insertRun. On replay a handle gap burns
-// slots (see burnSlot) and other kinds go through replayRecord. It reports
-// the index of the failing record or run. Callers hold r.mu.
-func (r *Resolver) applyRecords(recs []Record, replay bool) (int, error) {
+// applyRecords applies validated records in order — ApplyBatch's,
+// ApplyRouted's and journal replay's (replay true) — each maximal run of
+// full inserts with consecutive handles through insertRun; every other
+// record is a run of one. On replay a direct insert's handle gap burns
+// slots (see burnSlot). The routed forms apply as ApplyRouted describes. A
+// non-nil neighbors receives each record's target's match neighbors as of
+// the end of its run. It reports the index of the failing record or run.
+// Callers hold r.mu.
+func (r *Resolver) applyRecords(recs []Record, replay bool, neighbors [][]entity.ID) (int, error) {
 	for i := 0; i < len(recs); {
 		rec, j := &recs[i], i+1
 		var err error
 		switch {
-		case rec.Seq != 0 || (rec.Kind != OpInsert && rec.Kind != OpUpdate && rec.Kind != OpDelete):
+		case rec.Kind != OpInsert && rec.Kind != OpUpdate && rec.Kind != OpDelete:
 			err = fmt.Errorf("incremental: batch record has kind %v", rec.Kind)
-			if replay {
-				err = r.replayRecord(*rec)
-			}
+		case rec.Advance && rec.Kind == OpInsert:
+			r.burnSlot()
+			r.stats.Inserts++
+		case rec.Advance && rec.Kind == OpUpdate:
+			r.stats.Updates++
 		case rec.Kind == OpInsert:
 			if rec.ID < r.coll.Len() || (!replay && rec.ID != r.coll.Len()) {
 				return i, fmt.Errorf("incremental: insert assigns handle %d but %d slots exist", rec.ID, r.coll.Len())
@@ -547,19 +605,29 @@ func (r *Resolver) applyRecords(recs []Record, replay bool) (int, error) {
 			for r.coll.Len() < rec.ID {
 				r.burnSlot()
 			}
-			for j < len(recs) && recs[j].Kind == OpInsert && recs[j].Seq == 0 && recs[j].ID == recs[j-1].ID+1 {
+			for j < len(recs) && recs[j].Kind == OpInsert && !recs[j].Advance && recs[j].ID == recs[j-1].ID+1 {
 				j++
 			}
 			err = r.insertRun(recs[i:j])
-		case !r.isLive(rec.ID):
+		case r.isLive(rec.ID) && rec.Kind == OpUpdate:
+			err = r.applyUpdate(rec.ID, rec.Attrs)
+		case r.isLive(rec.ID):
+			r.applyDelete(rec.ID)
+		case rec.Seq == 0:
 			err = fmt.Errorf("incremental: %s of handle %d, which is not live", rec.Kind, rec.ID)
 		case rec.Kind == OpUpdate:
-			err = r.applyUpdate(rec.ID, rec.Attrs)
+			err = r.materialize(rec)
 		default:
-			r.applyDelete(rec.ID)
+			r.stats.Deletes++ // a routed delete of a placeholder or dead slot
 		}
 		if err != nil {
 			return i, err
+		}
+		for k := i; k < j && neighbors != nil; k++ {
+			neighbors[k] = r.dyn.Graph().Neighbors(recs[k].ID)
+		}
+		if seq := recs[j-1].Seq; seq != 0 {
+			r.lastSeq = seq
 		}
 		i = j
 	}

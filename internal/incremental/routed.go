@@ -21,10 +21,11 @@
 // block index.
 //
 // Every routed record carries a strictly increasing sequence number, the
-// coordinator's global operation counter. The shard journals it with the
-// record (Record.Seq), snapshots it (LastSeq) and replays it, so after any
-// crash the shard knows exactly which prefix of the stream it
-// acknowledged; a re-sent record with seq <= LastSeq is acknowledged again
+// coordinator's global operation counter. A shard applies each transport
+// frame as one unit (ApplyRouted) and journals it as one record with the
+// numbers (Record.Seq); it snapshots the last (LastSeq) and replays them,
+// so after any crash it knows exactly which prefix of the stream it
+// acknowledged. A re-sent record with seq <= LastSeq is acknowledged again
 // without being re-applied — the idempotent-replay half of the transport's
 // ack/retry protocol. Re-applying would not only double-count operations
 // but re-run delta matching and inflate the comparison counters, so
@@ -49,29 +50,12 @@ import (
 )
 
 // RoutedOp is one record of the routed operation stream a networked
-// coordinator sends a shard: the full operation for shards owning one of
-// its blocking keys, or a compact slot-advance (Advance true, no payload)
-// for the rest.
-type RoutedOp struct {
-	// Seq is the coordinator's global operation sequence number, starting
-	// at 1 and increasing by exactly 1 per operation.
-	Seq uint64
-	// Kind is the logical operation (OpInsert, OpUpdate or OpDelete).
-	Kind OpKind
-	// Advance marks a slot-advance record: the shard owns none of the
-	// operation's keys and only aligns its slot space and counters.
-	Advance bool
-	// ID is the handle the operation targets; for inserts, the handle the
-	// coordinator assigned.
-	ID entity.ID
-	// URI and Source describe the full description (insert, and update —
-	// an update can materialize the description on a shard that only ever
-	// slot-advanced it, so it carries the identity fields too).
-	URI    string
-	Source int
-	// Attrs is the full attribute set (insert, update).
-	Attrs []entity.Attribute
-}
+// coordinator sends a shard, numbered by Seq: the full operation for
+// shards owning one of its blocking keys — an update carries URI and
+// Source too, since it can materialize the description on a shard that
+// only slot-advanced it — or a compact slot-advance (Advance, no payload)
+// for the rest. It is the journal record it becomes; Batch is unused.
+type RoutedOp = Record
 
 // LastSeq returns the sequence number of the last applied routed operation
 // (0 before any). It is durable: journaled with every record, snapshotted,
@@ -83,159 +67,98 @@ func (r *Resolver) LastSeq() uint64 {
 	return r.lastSeq
 }
 
-// ApplyRouted applies one record of the routed operation stream. Records
-// must arrive in sequence: a record with Seq <= LastSeq was already
-// acknowledged and is acknowledged again without being re-applied (the
-// idempotent-replay half of the transport's retry protocol), a record
-// beyond LastSeq+1 is refused as a gap. The operation is journaled before
-// it is applied, exactly like ApplyBatch, and like ApplyBatch the context
-// gates admission only.
-func (r *Resolver) ApplyRouted(ctx context.Context, op RoutedOp) error {
+// ApplyRouted applies one frame of the routed operation stream: records
+// with consecutive sequence numbers. Records already acknowledged (seq <=
+// LastSeq) are acknowledged again without being re-applied, and a frame
+// starting beyond LastSeq+1 is refused as a gap. The rest is validated
+// against the sequential state it builds — inserts take the next handles,
+// update and delete targets exist (live or not), sources are valid, and a
+// payload's URI collides with no live description, though one freed
+// earlier in the frame may be bound again — so an invalid record refuses
+// the whole frame before anything is journaled. The frame is then
+// journaled as one record and applied like ApplyBatch (see commit), and
+// like ApplyBatch the context gates admission only.
+//
+// Every routed record moves the operation counters, so a shard's counters
+// always equal the global stream's. A slot-advance insert allocates a
+// placeholder slot (content-free, not live locally) and ends an insert
+// run; a slot-advance update moves only the counter; a full update of a
+// placeholder materializes it. A delete clears the slot wherever it is
+// locally live, slot-advance or not — a shard that owned the description's
+// OLD keys still holds it live after the re-keying update, and a later
+// insert reusing its URI must not collide against a ghost — and otherwise
+// moves only the counter.
+//
+// A non-nil neighbors (one entry per record) receives each record's
+// target's match neighbors as of the end of the run that applied it, or
+// for a re-acknowledged record as of the frame's arrival. An insert run
+// retires no edges, so folding the lists in record order, as the
+// networked coordinator does, builds the graph per-record lists would.
+func (r *Resolver) ApplyRouted(ctx context.Context, frame []RoutedOp, neighbors [][]entity.ID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.broken != nil {
 		return r.broken
 	}
+	if len(frame) == 0 {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("incremental: routed admission: %w", err)
 	}
-	if op.Seq == 0 {
-		return fmt.Errorf("incremental: routed records are numbered from 1")
-	}
-	if op.Seq <= r.lastSeq {
-		return nil // already acknowledged: idempotent replay
-	}
-	if op.Seq != r.lastSeq+1 {
-		return fmt.Errorf("incremental: routed record %d arrived with %d applied — the stream has a gap", op.Seq, r.lastSeq)
-	}
-	if err := r.validateRouted(op); err != nil {
+	skip, err := r.routedSkip(frame)
+	if err != nil {
 		return err
 	}
-	rec := Record{Kind: op.Kind, Seq: op.Seq, Advance: op.Advance, ID: op.ID, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
-	if err := r.journal.Record(rec); err != nil {
-		return err
+	if neighbors != nil {
+		for i := range skip {
+			neighbors[i] = r.dyn.Graph().Neighbors(frame[i].ID)
+		}
+		neighbors = neighbors[skip:]
 	}
-	r.perf.JournalAppends++
-	if err := r.applyRouted(op); err != nil {
-		// Validation makes this unreachable; a failed apply may be partial,
-		// so refuse further mutation rather than diverge from the journal.
-		r.broken = fmt.Errorf("%w: routed record %d failed mid-apply: %v", ErrBroken, op.Seq, err)
-		return r.broken
-	}
-	r.lastSeq = op.Seq
-	return r.maybeCompact()
-}
-
-// validateRouted checks a routed record against the local slot space before
-// anything is journaled. Callers hold r.mu.
-func (r *Resolver) validateRouted(op RoutedOp) error {
-	switch op.Kind {
-	case OpInsert:
-		if op.ID != r.coll.Len() {
-			return fmt.Errorf("incremental: routed insert assigns handle %d but the next slot is %d", op.ID, r.coll.Len())
-		}
-	case OpUpdate, OpDelete:
-		if op.ID < 0 || op.ID >= r.coll.Len() {
-			return fmt.Errorf("incremental: routed %s targets handle %d, which does not exist", op.Kind, op.ID)
-		}
-	default:
-		return fmt.Errorf("incremental: routed record has kind %v", op.Kind)
-	}
-	// A payload can materialize the description here (insert, or an update
-	// of a slot-advanced one), so its source must be one the index accepts.
-	if err := validSource(r.cfg.Kind, op.Source); err != nil {
-		return fmt.Errorf("incremental: routed %s: %w", op.Kind, err)
-	}
-	// Payload-carrying records can introduce a URI to this shard (insert, or
-	// an update materializing a slot-advanced description); the coordinator
-	// validates uniqueness globally, but a collision here would corrupt the
-	// local lookup table, so refuse before journaling.
-	if !op.Advance && op.URI != "" {
-		if have, taken := r.byURI[op.URI]; taken && have != op.ID {
-			return fmt.Errorf("incremental: routed %s of %q collides with live handle %d", op.Kind, op.URI, have)
-		}
-	}
-	return nil
-}
-
-// applyRouted is the state mutation of a routed record, shared with journal
-// replay. The operation counters advance for EVERY record — full or
-// slot-advance — so a shard's Inserts/Updates/Deletes always equal the
-// global stream's, whatever fraction of the payloads it received. Callers
-// hold r.mu and have validated the record.
-func (r *Resolver) applyRouted(op RoutedOp) error {
-	switch op.Kind {
-	case OpInsert:
-		if op.Advance {
-			// Slot-advance: the handle exists globally but this shard owns
-			// none of its keys. The slot is allocated as a placeholder —
-			// content-free, not live locally — so handles stay aligned; a
-			// later routed update can still materialize it.
-			r.burnSlot()
-			r.stats.Inserts++
-			return nil
-		}
-		return r.insertRun([]Record{{Kind: OpInsert, ID: op.ID, URI: op.URI, Source: op.Source, Attrs: op.Attrs}})
-	case OpUpdate:
-		if op.Advance {
-			r.stats.Updates++
-			return nil
-		}
-		if r.isLive(op.ID) {
-			return r.applyUpdate(op.ID, op.Attrs)
-		}
-		return r.materialize(op)
-	case OpDelete:
-		// A delete clears the slot wherever it is locally live, slot-advance
-		// or not: a shard that owned the description's OLD keys retired its
-		// block membership on the re-keying update but still holds the slot
-		// live (URI table, attributes), and the description's death must
-		// clear that too — otherwise a later insert reusing the globally-freed
-		// URI would collide against a ghost. The Advance flag only signals
-		// that no payload follows; for deletes the two forms are equivalent.
-		if r.isLive(op.ID) {
-			r.applyDelete(op.ID)
-			return nil
-		}
-		// Placeholder or dead slot: only the counter moves.
-		r.stats.Deletes++
+	if frame = frame[skip:]; len(frame) == 0 {
 		return nil
-	default:
-		return fmt.Errorf("incremental: routed record has kind %v", op.Kind)
 	}
+	if err := r.validateBatch(frame, true); err != nil {
+		return err
+	}
+	return r.commit(frame, neighbors)
+}
+
+// routedSkip checks a routed frame's sequence numbers against the
+// acknowledged stream position and returns how many of its leading records
+// are already applied. The numbers must be consecutive from at most
+// LastSeq+1; anything else refuses the whole frame. Callers hold r.mu.
+func (r *Resolver) routedSkip(recs []Record) (int, error) {
+	first := recs[0].Seq
+	if first == 0 {
+		return 0, fmt.Errorf("incremental: routed records are numbered from 1")
+	}
+	for i, rec := range recs {
+		if rec.Seq != first+uint64(i) {
+			return 0, fmt.Errorf("incremental: routed frame numbers record %d as %d, want %d", i, rec.Seq, first+uint64(i))
+		}
+	}
+	if first > r.lastSeq+1 {
+		return 0, fmt.Errorf("incremental: routed record %d arrived with %d applied — the stream has a gap", first, r.lastSeq)
+	}
+	return int(min(r.lastSeq+1-first, uint64(len(recs)))), nil
 }
 
 // materialize turns a placeholder slot into a live, indexed description:
 // the routed-update path of a shard that now owns one of the description's
 // keys but slot-advanced its insert. Callers hold r.mu.
-func (r *Resolver) materialize(op RoutedOp) error {
-	d := r.coll.Get(op.ID)
-	d.URI, d.Source = op.URI, op.Source
-	d.Attrs = append([]entity.Attribute(nil), op.Attrs...)
-	r.live[op.ID] = true
+func (r *Resolver) materialize(rec *Record) error {
+	d := r.coll.Get(rec.ID)
+	d.URI, d.Source = rec.URI, rec.Source
+	d.Attrs = append([]entity.Attribute(nil), rec.Attrs...)
+	r.live[rec.ID] = true
 	if d.URI != "" {
-		r.byURI[d.URI] = op.ID
+		r.byURI[d.URI] = rec.ID
 	}
 	r.liveCount++
 	r.stats.Updates++
-	return r.index(op.ID, op.ID+1)
-}
-
-// replayRouted re-applies one journaled routed record during recovery.
-// Callers hold no lock (the resolver is not yet published).
-func (r *Resolver) replayRouted(rec Record) error {
-	if rec.Seq != r.lastSeq+1 {
-		return fmt.Errorf("incremental: journal routed record %d follows %d — the log has a gap", rec.Seq, r.lastSeq)
-	}
-	op := RoutedOp{Seq: rec.Seq, Kind: rec.Kind, Advance: rec.Advance, ID: rec.ID, URI: rec.URI, Source: rec.Source, Attrs: rec.Attrs}
-	if err := r.validateRouted(op); err != nil {
-		return err
-	}
-	if err := r.applyRouted(op); err != nil {
-		return fmt.Errorf("incremental: replaying routed record %d: %w", rec.Seq, err)
-	}
-	r.lastSeq = rec.Seq
-	return nil
+	return r.index(rec.ID, rec.ID+1)
 }
 
 // EachDeltaCandidate enumerates the distinct delta-frontier candidates of

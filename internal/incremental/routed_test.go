@@ -16,23 +16,25 @@ func routedInsert(seq uint64, id entity.ID, uri, name string) RoutedOp {
 		Attrs: []entity.Attribute{{Name: "name", Value: name}}}
 }
 
+// applyFrame applies ops as one routed frame, collecting no neighbors.
+func applyFrame(r *Resolver, ops ...RoutedOp) error {
+	return r.ApplyRouted(context.Background(), ops, nil)
+}
+
 // TestApplyRoutedStream drives the shard-side routed apply path directly:
 // full payloads, slot-advance records, idempotent replay, gap refusal and
 // the materializing update of a slot-advanced description.
 func TestApplyRoutedStream(t *testing.T) {
 	r := newTestResolver(t, entity.Dirty)
-	ctx := context.Background()
 
-	// Two owned inserts that match, then a slot-advance for a third this
-	// "shard" owns no keys of.
-	for _, op := range []RoutedOp{
+	// One frame: two owned inserts that match, then a slot-advance for a
+	// third this "shard" owns no keys of.
+	if err := applyFrame(r,
 		routedInsert(1, 0, "u:a", "alice smith"),
 		routedInsert(2, 1, "u:b", "alice smith"),
-		{Seq: 3, Kind: OpInsert, Advance: true, ID: 2},
-	} {
-		if err := r.ApplyRouted(ctx, op); err != nil {
-			t.Fatalf("ApplyRouted(%d): %v", op.Seq, err)
-		}
+		RoutedOp{Seq: 3, Kind: OpInsert, Advance: true, ID: 2},
+	); err != nil {
+		t.Fatalf("ApplyRouted(1..3): %v", err)
 	}
 	if got := r.LastSeq(); got != 3 {
 		t.Fatalf("LastSeq = %d, want 3", got)
@@ -49,17 +51,17 @@ func TestApplyRoutedStream(t *testing.T) {
 	}
 
 	// Idempotent replay: a re-sent record is acknowledged without applying.
-	if err := r.ApplyRouted(ctx, routedInsert(2, 1, "u:b", "alice smith")); err != nil {
+	if err := applyFrame(r, routedInsert(2, 1, "u:b", "alice smith")); err != nil {
 		t.Fatalf("replayed record refused: %v", err)
 	}
 	if st2 := mustStats(t, r); st2.Inserts != 3 {
 		t.Fatalf("replayed record re-applied: %s", st2)
 	}
 	// A gap is refused, as is a zero sequence number.
-	if err := r.ApplyRouted(ctx, routedInsert(6, 3, "u:z", "zoe")); err == nil {
+	if err := applyFrame(r, routedInsert(6, 3, "u:z", "zoe")); err == nil {
 		t.Fatal("gapped record accepted")
 	}
-	if err := r.ApplyRouted(ctx, RoutedOp{Seq: 0, Kind: OpInsert}); err == nil {
+	if err := applyFrame(r, RoutedOp{Seq: 0, Kind: OpInsert}); err == nil {
 		t.Fatal("zero-sequence record accepted")
 	}
 
@@ -71,7 +73,7 @@ func TestApplyRoutedStream(t *testing.T) {
 		{Seq: 4, Kind: OpKind(99)},
 		routedInsert(4, 3, "u:a", "impostor"),
 	} {
-		if err := r.ApplyRouted(ctx, bad); err == nil {
+		if err := applyFrame(r, bad); err == nil {
 			t.Fatalf("invalid record %+v accepted", bad)
 		}
 	}
@@ -83,7 +85,7 @@ func TestApplyRoutedStream(t *testing.T) {
 	// the live set, the URI table and the match graph.
 	up := RoutedOp{Seq: 4, Kind: OpUpdate, ID: 2, URI: "u:c",
 		Attrs: []entity.Attribute{{Name: "name", Value: "alice smith"}}}
-	if err := r.ApplyRouted(ctx, up); err != nil {
+	if err := applyFrame(r, up); err != nil {
 		t.Fatalf("materializing update: %v", err)
 	}
 	if id, ok := r.Lookup("u:c"); !ok || id != 2 {
@@ -94,10 +96,10 @@ func TestApplyRoutedStream(t *testing.T) {
 	}
 
 	// An advance update only moves the counter; an owned update re-resolves.
-	if err := r.ApplyRouted(ctx, RoutedOp{Seq: 5, Kind: OpUpdate, Advance: true, ID: 0}); err != nil {
+	if err := applyFrame(r, RoutedOp{Seq: 5, Kind: OpUpdate, Advance: true, ID: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ApplyRouted(ctx, RoutedOp{Seq: 6, Kind: OpUpdate, ID: 1,
+	if err := applyFrame(r, RoutedOp{Seq: 6, Kind: OpUpdate, ID: 1,
 		Attrs: []entity.Attribute{{Name: "name", Value: "someone else entirely"}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +108,13 @@ func TestApplyRoutedStream(t *testing.T) {
 	}
 
 	// Deletes clear live slots (advance or not) and count on dead ones.
-	if err := r.ApplyRouted(ctx, RoutedOp{Seq: 7, Kind: OpDelete, Advance: true, ID: 1}); err != nil {
+	if err := applyFrame(r, RoutedOp{Seq: 7, Kind: OpDelete, Advance: true, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.Lookup("u:b"); ok {
 		t.Fatal("advance delete left the slot live")
 	}
-	if err := r.ApplyRouted(ctx, RoutedOp{Seq: 8, Kind: OpDelete, ID: 1}); err != nil {
+	if err := applyFrame(r, RoutedOp{Seq: 8, Kind: OpDelete, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st = mustStats(t, r)
@@ -232,8 +234,8 @@ func TestFrontierWalk(t *testing.T) {
 	}
 }
 
-// TestRoutedReplay journals a routed stream durably, crashes past a
-// snapshot boundary, and recovers: LastSeq and the counters must restore
+// TestRoutedReplay journals a routed stream durably in frames, crashes past
+// a snapshot boundary, and recovers: LastSeq and the counters must restore
 // exactly, and the next record in sequence must still apply.
 func TestRoutedReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -247,18 +249,20 @@ func TestRoutedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	ops := []RoutedOp{
-		routedInsert(1, 0, "u:a", "alice smith"),
-		{Seq: 2, Kind: OpInsert, Advance: true, ID: 1},
-		routedInsert(3, 2, "u:c", "alice smith"),
-		{Seq: 4, Kind: OpUpdate, Advance: true, ID: 1},
-		{Seq: 5, Kind: OpDelete, ID: 0},
+	// Three frames, three journal records: the snapshot lands after the
+	// second, so recovery replays the last frame as one OpBatch.
+	frames := [][]RoutedOp{
+		{routedInsert(1, 0, "u:a", "alice smith"), {Seq: 2, Kind: OpInsert, Advance: true, ID: 1}},
+		{routedInsert(3, 2, "u:c", "alice smith")},
+		{{Seq: 4, Kind: OpUpdate, Advance: true, ID: 1}, {Seq: 5, Kind: OpDelete, ID: 0}},
 	}
-	for _, op := range ops {
-		if err := r.ApplyRouted(ctx, op); err != nil {
-			t.Fatalf("ApplyRouted(%d): %v", op.Seq, err)
+	for _, f := range frames {
+		if err := applyFrame(r, f...); err != nil {
+			t.Fatalf("ApplyRouted(%d..): %v", f[0].Seq, err)
 		}
+	}
+	if got := r.Perf().JournalAppends; got != int64(len(frames)) {
+		t.Fatalf("%d journal appends for %d frames", got, len(frames))
 	}
 	want := mustStats(t, r)
 	if err := r.Close(); err != nil {
@@ -276,12 +280,15 @@ func TestRoutedReplay(t *testing.T) {
 	if got := mustStats(t, re); got != want {
 		t.Fatalf("recovered stats = %s, want %s", got, want)
 	}
-	if err := re.ApplyRouted(ctx, routedInsert(6, 3, "u:d", "dora")); err != nil {
+	if rec := re.Recovery(); rec.ReplayedRecords != 1 {
+		t.Fatalf("recovery replayed %d records, want the last frame's one", rec.ReplayedRecords)
+	}
+	if err := applyFrame(re, routedInsert(6, 3, "u:d", "dora")); err != nil {
 		t.Fatalf("post-recovery record: %v", err)
 	}
 	// Replay is as strict about sequence as the live path: hand-feeding a
 	// gapped record through the replay entry point is refused.
-	if err := re.replayRouted(Record{Kind: OpInsert, Seq: 9, ID: 4}); err == nil {
+	if err := re.replayRecord(Record{Kind: OpInsert, Seq: 9, ID: 4}); err == nil {
 		t.Fatal("gapped journal record replayed")
 	}
 }
@@ -322,7 +329,7 @@ func TestBootstrap(t *testing.T) {
 		}
 		// The shipped index is live: the next routed record in sequence
 		// resolves against it.
-		if err := r.ApplyRouted(context.Background(), routedInsert(7, 3, "u:d", "alice smith")); err != nil {
+		if err := applyFrame(r, routedInsert(7, 3, "u:d", "alice smith")); err != nil {
 			t.Fatalf("post-bootstrap record: %v", err)
 		}
 		if got := mustMatchedWith(t, r, 3); !reflect.DeepEqual(got, []entity.ID{0, 2}) {

@@ -11,6 +11,7 @@ import (
 	"entityres/internal/entity"
 	"entityres/internal/incremental"
 	"entityres/internal/matching"
+	"entityres/internal/sharded"
 )
 
 // BenchmarkApplyBatchInserts measures the streaming resolver's bulk apply
@@ -56,4 +57,58 @@ func BenchmarkApplyBatchInserts(b *testing.B) {
 	b.ReportMetric(float64(apply.Nanoseconds())/float64(b.N), "apply-ns/op")
 	b.ReportMetric(float64(batch.Nanoseconds())/float64(b.N), "pipeline-ns/op")
 	b.ReportMetric(float64(apply)/float64(batch), "apply/pipeline")
+}
+
+// BenchmarkShardApplyFrame measures the networked shard's apply path: a
+// datagen dirty collection inserted as 64-op routed frames into shard 0 of
+// a 2-shard deployment — full payload where the shard owns one of the
+// record's keys, slot-advance elsewhere — on a durable resolver with fsync
+// on. It reports wall time and journal appends per frame.
+func BenchmarkShardApplyFrame(b *testing.B) {
+	const frameOps = 64
+	c, _, err := datagen.GenerateDirty(datagen.Config{Entities: 1000, Seed: 42, DupRatio: 0.5, MaxDuplicates: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sharded.Config{
+		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Workers: 2, Shards: 2,
+	}
+	keyer := cfg.Blocker.StreamKeyer()
+	ops := make([]incremental.RoutedOp, c.Len())
+	for i, d := range c.All() {
+		ops[i] = incremental.RoutedOp{Seq: uint64(i + 1), Kind: incremental.OpInsert, Advance: true, ID: entity.ID(i)}
+		for _, k := range blocking.DistinctKeys(keyer(d)) {
+			if sharded.KeyOwner(k, 2) == 0 {
+				ops[i] = incremental.RoutedOp{Seq: uint64(i + 1), Kind: incremental.OpInsert, ID: entity.ID(i), URI: d.URI, Attrs: d.Attrs}
+				break
+			}
+		}
+	}
+	ctx := context.Background()
+	var elapsed time.Duration
+	var frames, appends int64
+	for i := 0; i < b.N; i++ {
+		r, err := incremental.OpenResolver(b.TempDir(), cfg.NodeConfig(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := r.Perf().JournalAppends
+		t0 := time.Now()
+		for at := 0; at < len(ops); at += frameOps {
+			nbrs := make([][]entity.ID, min(frameOps, len(ops)-at))
+			if err := r.ApplyRouted(ctx, ops[at:at+len(nbrs)], nbrs); err != nil {
+				b.Fatal(err)
+			}
+			frames++
+		}
+		elapsed += time.Since(t0)
+		appends += r.Perf().JournalAppends - before
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(frames), "ns/frame")
+	b.ReportMetric(float64(appends)/float64(frames), "appends/frame")
 }

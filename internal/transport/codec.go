@@ -134,9 +134,11 @@ func decodeBatch(data []byte) ([]incremental.RoutedOp, error) {
 // BatchAck is a shard's single cumulative acknowledgement of a whole batch
 // frame: the final sequence number it is current through, its cumulative
 // matcher-invocation counter after the batch, and — per operation, in
-// stream order — the operated-on description's match neighbors AS OF that
-// operation. The at-time capture is what lets the coordinator fold the
-// batch exactly as if its operations had been acknowledged one at a time.
+// stream order — the operated-on description's match neighbors as of the
+// end of the shard's run that applied it (an insert run is applied whole;
+// every other operation is a run of one). A run of inserts retires no
+// edges, so the capture lets the coordinator fold the batch exactly as if
+// its operations had been acknowledged one at a time.
 type BatchAck struct {
 	Seq         uint64
 	Comparisons int64

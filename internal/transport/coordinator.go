@@ -26,9 +26,10 @@
 // A delivery failure marks the shard DOWN and the operation still counts —
 // it is journaled locally and applied everywhere reachable — but further
 // mutations are refused until RejoinShard, which closes the gap from the
-// durable invariant that a non-wiped shard is always at seq or seq-1:
-// nothing to do, one idempotent re-send, or a full bootstrap ship for a
-// shard that lost its disk.
+// durable invariant that a non-wiped shard is always at seq or at the start
+// of the last journaled record (a shard journals each frame as one
+// record): nothing to do, one idempotent re-send of that record's
+// operations, or a full bootstrap ship for a shard that lost its disk.
 package transport
 
 import (
@@ -430,7 +431,8 @@ func (r *Coordinator) fanoutBatch(ctx context.Context, ops []incremental.RoutedO
 		// Fold in operation order: an update or delete first retires the
 		// handle's edges UNCONDITIONALLY — the replica applied the whole
 		// batch even where no shard acknowledged — then each acknowledging
-		// shard's at-time neighbor list re-adds the operation's matches.
+		// shard's neighbor list (as of the run that applied the operation)
+		// re-adds the operation's matches.
 		// The interleaving is what makes a re-delivered frame safe: a
 		// re-acked prefix operation may report final-state neighbors, but
 		// any such edge that a later operation retires is removed again at
@@ -460,7 +462,8 @@ func (r *Coordinator) fanoutBatch(ctx context.Context, ops []incremental.RoutedO
 
 // RejoinShard reconnects a down shard and closes whatever gap its absence
 // left: nothing for a shard that kept up, one idempotent re-send for a
-// shard at seq-1, a full bootstrap ship for a pristine (wiped) shard.
+// shard inside the last journaled record, a full bootstrap ship for a
+// pristine (wiped) shard.
 func (r *Coordinator) RejoinShard(ctx context.Context, i int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -484,10 +487,11 @@ func (r *Coordinator) rejoinLocked(ctx context.Context, i int) error {
 	case h.LastSeq < r.seq && r.seq-h.LastSeq <= uint64(len(r.lastOps)):
 		// The shard sits inside the last journaled record's delivery window
 		// — at most one record (one op, or one whole batch) can be in
-		// flight. Re-send the missing tail in full as one frame — a shard
-		// the original routing only advanced tolerates the payload (its
-		// lens ignores keys it does not own), and the frame's already-
-		// applied prefix re-acks idempotently.
+		// flight, and a current shard journals a frame whole, so it sits at
+		// the record's start. Re-send the missing tail in full as one frame
+		// — a shard the original routing only advanced tolerates the
+		// payload (its lens ignores keys it does not own), and any
+		// already-applied prefix re-acks idempotently.
 		tail := r.lastOps[len(r.lastOps)-int(r.seq-h.LastSeq):]
 		if _, err := r.clients[i].ApplyBatch(ctx, tail); err != nil {
 			return fmt.Errorf("transport: re-sending operations %d..%d to shard %d: %w", tail[0].Seq, r.seq, i, err)

@@ -201,26 +201,24 @@ func (s *ShardServer) hello(payload []byte) (byte, []byte, error) {
 // applyBatch applies a pipelined batch of routed operations in stream order
 // and acknowledges the whole frame once: the final sequence number, the
 // cumulative comparison counter, and — per operation — the target's match
-// neighbors AS OF that operation, so the coordinator can fold the batch
-// exactly as if each operation had been acknowledged alone. Every mutation
-// arrives this way (a single operation is a batch of one). The shard
-// journals each
-// operation individually (ApplyRouted), so a re-delivered frame re-acks its
-// already-applied prefix idempotently and resumes mid-batch; only round
-// trips collapse, not the shard's durability granularity.
+// neighbors as of the run that applied it (see ApplyRouted), so the
+// coordinator folds the batch exactly as if each operation had been
+// acknowledged alone. Every mutation arrives this way (a single operation
+// is a batch of one). The shard journals the frame as ONE record: a crash
+// leaves it wholly applied or not at all, so a re-delivered frame is either
+// re-acked without applying anything or applied whole.
 func (s *ShardServer) applyBatch(payload []byte) (byte, []byte, error) {
 	ops, err := decodeBatch(payload)
 	if err != nil {
 		return 0, nil, err
 	}
 	ack := BatchAck{Neighbors: make([][]entity.ID, len(ops))}
-	for i, op := range ops {
-		if err := s.res.ApplyRouted(context.Background(), op); err != nil {
-			return 0, nil, fmt.Errorf("batch operation %d (seq %d): %w", i, op.Seq, err)
-		}
-		if s.cfg.Meta == nil {
-			ack.Neighbors[i] = s.res.MatchNeighbors(op.ID)
-		}
+	neighbors := ack.Neighbors
+	if s.cfg.Meta != nil {
+		neighbors = nil // the coordinator's replica reconciles the matches
+	}
+	if err := s.res.ApplyRouted(context.Background(), ops, neighbors); err != nil {
+		return 0, nil, fmt.Errorf("batch of operations %d..%d: %w", ops[0].Seq, ops[len(ops)-1].Seq, err)
 	}
 	ack.Seq = ops[len(ops)-1].Seq
 	ack.Comparisons = s.res.Counters().Comparisons
