@@ -23,9 +23,9 @@
 // every push.
 //
 // With -streaming-shards N it replays the same insert stream through the
-// single-node and the N-shard sharded streaming resolver, asserts the two
-// are bit-identical, and reports throughput plus the durable leg
-// (per-shard group-committed WAL persistence and shard-wise recovery);
+// single-node resolver and an N-shard in-process deployment, asserts the
+// two are bit-identical, and reports throughput plus the durable leg
+// (coordinator and group-committed shard journals, journal-wise recovery);
 // -json then writes BENCH_sharded.json.
 //
 // With -serve it loads the generated collection into an er.Open resolver,
@@ -717,8 +717,9 @@ func runStreamingMeta(entities int, seed int64, workers int, weightNm, pruneNm s
 }
 
 // benchShardRecoveryPortableJSON is the sharded durable leg's portable
-// half: per-shard group-committed WAL persistence plus a full reopen
-// (every shard restored from its own snapshot + tail).
+// half: coordinator and group-committed shard journals plus a full reopen
+// (every journal restored from its own snapshot + tail). Perf is the
+// coordinator's counters; ReplayedRecordsMax is over every journal.
 type benchShardRecoveryPortableJSON struct {
 	Ops                int64         `json:"ops"`
 	SnapshotEvery      int           `json:"snapshot_every"`
@@ -759,10 +760,10 @@ type benchShardedJSON struct {
 }
 
 // runStreamingShards replays one synthetic insert stream through the
-// single-node and the N-shard sharded streaming resolver, asserts their
+// single-node resolver and an N-shard in-process deployment, asserts their
 // matches AND comparison counts are identical (the cross-shard
 // differential contract), and reports throughput plus the sharded durable
-// leg: per-shard group-committed WAL persistence and whole-deployment
+// leg: coordinator and group-committed shard journals and whole-deployment
 // recovery. The measurement is emitted per the -json/-baseline flags.
 func runStreamingShards(entities int, seed int64, workers, shards int, out benchOutput) error {
 	c, _, err := er.GenerateDirty(er.GenConfig{Seed: seed, Entities: entities, MaxDuplicates: 2})
@@ -828,9 +829,10 @@ func runStreamingShards(entities int, seed int64, workers, shards int, out bench
 	speedup := float64(singleDur) / float64(shardedDur)
 	fmt.Printf("\nidentical=true speedup=%.2fx\n", speedup)
 
-	// Durable leg: persist through per-shard group-committed WALs, abandon
-	// (hard stop), and measure the whole-deployment reopen — each shard
-	// restores from its own snapshot + tail.
+	// Durable leg: persist through the coordinator journal and the
+	// group-committed shard journals, abandon (hard stop), and measure the
+	// whole-deployment reopen — each journal restores from its own
+	// snapshot + tail.
 	walDir, err := os.MkdirTemp("", "erbench-sharded-wal-")
 	if err != nil {
 		return err
@@ -874,7 +876,7 @@ func runStreamingShards(entities int, seed int64, workers, shards int, out bench
 	if err := re.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("durable:       persist %v (%.0f ops/sec, group-committed, unsynced), recovery %v (max %d wal records per shard)\n",
+	fmt.Printf("durable:       persist %v (%.0f ops/sec, group-committed, unsynced), recovery %v (max %d wal records per journal)\n",
 		persistDur.Round(time.Microsecond), opsPerSec(persistDur),
 		recoveryDur.Round(time.Microsecond), replayedMax)
 

@@ -167,7 +167,7 @@ func TestRunStreamingShards(t *testing.T) {
 		t.Fatalf("recovery leg unmeasured: %+v", out.Timing)
 	}
 	if p.Recovery.Perf.FullSnapshots <= 0 {
-		t.Fatalf("per-shard snapshot counters unmeasured: %+v", p.Recovery.Perf)
+		t.Fatalf("coordinator snapshot counters unmeasured: %+v", p.Recovery.Perf)
 	}
 	// The gate holds across the sharded mode too: rerun vs own baseline.
 	if err := runStreamingShards(120, 7, 2, 3, benchOutput{baseline: jsonPath, tolerance: 0.01}); err != nil {

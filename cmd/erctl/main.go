@@ -53,11 +53,12 @@
 // amortized batch path (one lock, one journal append, one fan-out per
 // chunk) — results are bit-exact with the per-op replay. With
 // -stream-shards N the blocking-key space is hash-partitioned across N
-// shard resolvers with coordinator-merged reads — results are bit-exact
-// with the single-node replay for every N. With -wal DIR the resolver is
-// durable: every op is journaled to a write-ahead log in DIR (one
-// shard-%03d WAL directory per shard when sharded, group-commit fsync
-// batching) before it is applied and compacted into snapshots, and
+// shard servers hosted in the process, driven by the same coordinator a
+// networked deployment uses — results are bit-exact with the single-node
+// replay for every N. With -wal DIR the resolver is durable: every op is
+// journaled to a write-ahead log in DIR (when sharded, the coordinator's
+// in DIR/coordinator and one group-committed shard-%03d WAL directory per
+// shard) before it is applied and compacted into snapshots, and
 // restarting the same command resumes the replay where the previous run
 // stopped — crash recovery restores the journaled state and the
 // already-applied prefix of the ops log is skipped.
@@ -272,7 +273,7 @@ func watch(args []string) {
 		statsEvery = fs.Int("stats-every", 0, "print resolver stats every N ops (0 = only at end)")
 		printAll   = fs.Bool("print-matches", false, "print final matched URI pairs")
 		shardsN    = fs.Int("stream-shards", 0, "shard the blocking-key space across N resolvers (0 or 1 = single-node; results are bit-exact for every N)")
-		walDir     = fs.String("wal", "", "durable WAL directory: journal every op, compact into snapshots, and resume an interrupted replay of the same -ops log after restart (per-shard subdirectories with -stream-shards)")
+		walDir     = fs.String("wal", "", "durable WAL directory: journal every op, compact into snapshots, and resume an interrupted replay of the same -ops log after restart (coordinator/ and per-shard subdirectories with -stream-shards)")
 	)
 	_ = fs.Parse(args)
 	if *opsPath == "" {

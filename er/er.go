@@ -25,14 +25,13 @@
 //     exchange format (ReadStreamOps/WriteStreamOps), optional live
 //     meta-blocking (StreamingConfig.Meta: WEP/WNP pruning of CBS/ECBS/JS
 //     weights over the incrementally-maintained WeightedBlockingGraph),
-//     and a durable storage layer (PersistentResolver: every operation
+//     and a durable storage layer (Open with Config.Dir: every operation
 //     journaled to fsync'd CRC-framed WAL segments, compacted into
 //     snapshots, crash-recovered by snapshot restore plus bounded tail
-//     replay), and a sharded deployment form (ShardedResolver: the
-//     blocking-key space hash-partitioned across N shard resolvers with
-//     coordinator-merged reads, bit-exact with the single-node resolver
-//     for every shard count, per-shard group-committed WALs, and
-//     crash-tested shard stop/rejoin bootstrap);
+//     replay), and sharded deployment forms (Open with Config.Shards or
+//     Config.Addrs: the blocking-key space hash-partitioned across N shard
+//     servers — in this process or remote — driven by one coordinator,
+//     bit-exact with the single-node resolver for every shard count);
 //   - the Pipeline tying the phases together (Fig. 1 of the paper);
 //   - synthetic data generation, N-Triples I/O and evaluation metrics.
 //
@@ -60,7 +59,6 @@ import (
 	"entityres/internal/multiblock"
 	"entityres/internal/progressive"
 	"entityres/internal/rdf"
-	"entityres/internal/sharded"
 	"entityres/internal/simjoin"
 	"entityres/internal/tabular"
 	"entityres/internal/token"
@@ -384,82 +382,17 @@ type (
 	// segment rotation size, snapshot-compaction cadence and fsync policy
 	// (StreamingConfig.Durable).
 	StreamingDurable = incremental.DurableOptions
-	// StreamingRecovery reports what PersistentResolver restored: whether
+	// StreamingRecovery reports what a durable Open restored: whether
 	// state was found, the snapshot anchor, and how many WAL records the
 	// bounded tail replay touched (StreamingResolver.Recovery).
 	StreamingRecovery = incremental.RecoveryInfo
 	// StreamJournal is the pluggable journal a resolver writes every
 	// operation through before applying it; the in-memory resolver uses a
-	// no-op implementation, PersistentResolver the WAL-backed one.
+	// no-op implementation, a durable one the WAL-backed one.
 	StreamJournal = incremental.Journal
 	// StreamRecord is one journaled operation in replayable form.
 	StreamRecord = incremental.Record
 )
-
-// NewStreamingResolver validates the configuration and returns an empty
-// in-memory streaming resolver (nothing is persisted).
-//
-// Deprecated: use Open with a Config carrying the same fields; it returns
-// the unified Resolver interface. This constructor remains for one release.
-func NewStreamingResolver(cfg StreamingConfig) (*StreamingResolver, error) {
-	return incremental.New(cfg)
-}
-
-// PersistentResolver opens a durable streaming resolver backed by a
-// write-ahead log in dir, creating it on first use. Every operation is
-// journaled (fsync'd, CRC-framed segment files) before it is applied and
-// periodically compacted into a snapshot of the full resolver state —
-// surviving descriptions, blocks, match graph, weighted blocking graph and
-// counters — so reopening the directory after a crash restores the
-// snapshot and replays only the WAL tail. The recovered resolver is
-// bit-identical to one that processed the acknowledged operations without
-// interruption; use StreamingResolver.Recovery to inspect what was
-// restored, Compact to checkpoint on demand, Snapshot to materialize the
-// live state, and Close to seal the journal.
-//
-// Deprecated: use Open with Config.Dir set. This constructor remains for
-// one release.
-func PersistentResolver(dir string, cfg StreamingConfig) (*StreamingResolver, error) {
-	return incremental.OpenResolver(dir, cfg)
-}
-
-// Sharded streaming resolution: the key-partitioned deployment form.
-type (
-	// ShardedResolver distributes the streaming resolver across the
-	// blocking-key space: a coordinator hash-partitions keys over N shard
-	// resolvers, fans every operation out in parallel, and merges the
-	// shard-local match edges so reads are globally consistent — and
-	// bit-exact with the single-node StreamingResolver (and batch) for
-	// every shard count, including comparison counts and restructured
-	// blocks. Shards journal to their own WALs (group-commit fsync
-	// batching) and can be hard-stopped and rejoined from their own
-	// snapshot + WAL tail (StopShard / RejoinShard) without global replay.
-	ShardedResolver = sharded.Resolver
-	// ShardedConfig parameterizes a ShardedResolver: the StreamingConfig
-	// fields plus the shard count and per-shard durability options.
-	ShardedConfig = sharded.Config
-)
-
-// NewShardedResolver validates the configuration and returns an empty
-// in-memory sharded streaming resolver.
-//
-// Deprecated: use Open with Config.Shards > 1. This constructor remains
-// for one release.
-func NewShardedResolver(cfg ShardedConfig) (*ShardedResolver, error) {
-	return sharded.New(cfg)
-}
-
-// PersistentShardedResolver opens a durable sharded resolver rooted at
-// dir: shard i journals every operation to its own write-ahead log under
-// dir/shard-%03d, and an existing directory is recovered shard by shard
-// with the coordinator's replica rebuilt from the shards. The shard count
-// is pinned in a manifest on first use.
-//
-// Deprecated: use Open with Config.Dir and Config.Shards set. This
-// constructor remains for one release.
-func PersistentShardedResolver(dir string, cfg ShardedConfig) (*ShardedResolver, error) {
-	return sharded.Open(dir, cfg)
-}
 
 // NewBlockIndex returns an empty incremental block index.
 func NewBlockIndex(kind Kind) *BlockIndex { return blocking.NewBlockIndex(kind) }

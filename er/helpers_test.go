@@ -1,6 +1,8 @@
 package er_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"entityres/er"
@@ -21,35 +23,35 @@ func mustStats(t testing.TB, r interface {
 	return st
 }
 
-func mustMatches(t testing.TB, r interface {
-	Matches() (*er.Matches, error)
-}) *er.Matches {
+// snapshotOf reads r's live state through the public Resolver surface —
+// every handle up to the insert count is queried — as a dense collection of
+// the live descriptions plus their match pairs remapped into that ID space,
+// the shape a batch pipeline over the collection reproduces.
+func snapshotOf(t testing.TB, r er.Resolver) (*er.Collection, *er.Matches) {
 	t.Helper()
-	m, err := r.Matches()
-	if err != nil {
-		t.Fatalf("Matches: %v", err)
+	ctx := context.Background()
+	st := mustStats(t, r)
+	coll := er.NewCollection(er.Dirty)
+	remap := map[er.ID]er.ID{}
+	var results []er.Result
+	for id := er.ID(0); id < er.ID(st.Inserts); id++ {
+		res, err := r.Query(ctx, er.Query{ID: id})
+		var nf *er.ErrNotFound
+		if errors.As(err, &nf) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Query(%d): %v", id, err)
+		}
+		res.Description.ID = -1
+		remap[id] = coll.MustAdd(res.Description)
+		results = append(results, res)
 	}
-	return m
-}
-
-func mustSnapshot(t testing.TB, r interface {
-	Snapshot() (*er.Collection, *er.Matches, error)
-}) (*er.Collection, *er.Matches) {
-	t.Helper()
-	coll, m, err := r.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	matches := er.NewMatches()
+	for _, res := range results {
+		for _, nb := range res.SameAs {
+			matches.Add(remap[res.ID], remap[nb])
+		}
 	}
-	return coll, m
-}
-
-func mustRestructuredBlocks(t testing.TB, r interface {
-	RestructuredBlocks() (*er.Blocks, error)
-}) *er.Blocks {
-	t.Helper()
-	bl, err := r.RestructuredBlocks()
-	if err != nil {
-		t.Fatalf("RestructuredBlocks: %v", err)
-	}
-	return bl
+	return coll, matches
 }

@@ -7,8 +7,8 @@ import (
 	"entityres/er"
 )
 
-// TestPerfReporter: both local deployment forms surface the
-// machine-independent work counters through er.PerfReporter.
+// TestPerfReporter: the single-node and in-process sharded forms surface
+// their machine-independent work counters through er.PerfReporter.
 func TestPerfReporter(t *testing.T) {
 	ctx := context.Background()
 	open := func(shards int) er.Resolver {
@@ -43,15 +43,17 @@ func TestPerfReporter(t *testing.T) {
 	if single.JournalAppends != 4 {
 		t.Fatalf("single-node Perf counts %d journal appends for 3 inserts + 1 reconcile", single.JournalAppends)
 	}
-	// The sharded form reconciles at the coordinator, so its shard-summed
-	// reconcile and snapshot counters stay zero for an in-memory deployment;
-	// what it DOES report is the write-amortization evidence — per-shard
-	// journal appends (3 ops × 3 shards) and one fan-out per operation.
+	// The sharded form reports its coordinator's counters: the replica
+	// reconciles and journals exactly as the single-node resolver does (it
+	// is the one that matches under meta-blocking), and each operation is
+	// one fan-out and one round trip per shard. The shard servers' own
+	// journals are not counted.
 	sharded := open(3).(er.PerfReporter).Perf()
-	if sharded.Reconciles != 0 || sharded.ReconcileExamined != 0 || sharded.FullSnapshots != 0 {
-		t.Fatalf("in-memory sharded deployment reports shard-local reconcile/snapshot work: %+v", sharded)
+	if sharded.Reconciles != single.Reconciles || sharded.ReconcileExamined != single.ReconcileExamined ||
+		sharded.ReconcileEvaluated != single.ReconcileEvaluated || sharded.JournalAppends != single.JournalAppends {
+		t.Fatalf("sharded coordinator Perf %+v diverges from single-node %+v on the replica's work", sharded, single)
 	}
-	if sharded.JournalAppends != 9 || sharded.FanOuts != 3 {
-		t.Fatalf("sharded Perf counts appends=%d fanouts=%d for 3 ops on 3 shards", sharded.JournalAppends, sharded.FanOuts)
+	if sharded.FanOuts != 3 || sharded.TransportRoundTrips != 9 {
+		t.Fatalf("sharded Perf counts fan-outs=%d round trips=%d for 3 ops on 3 shards", sharded.FanOuts, sharded.TransportRoundTrips)
 	}
 }

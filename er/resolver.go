@@ -9,12 +9,9 @@ import (
 	"entityres/internal/transport"
 )
 
-// This file is the v2 resolver API: one Open call returning one Resolver
+// This file is the resolver API: one Open call returning one Resolver
 // interface, with durability, sharding and networking selected by Config
-// instead of by constructor. The v1 constructors (NewStreamingResolver,
-// PersistentResolver, NewShardedResolver, PersistentShardedResolver)
-// remain as deprecated aliases for one release; see the migration note in
-// the README.
+// instead of by constructor.
 
 // Config selects and parameterizes a resolver deployment for Open.
 //
@@ -22,6 +19,8 @@ import (
 // in-memory single-node resolver; set Dir for durability; set Shards for
 // in-process sharding; set Addrs to drive remote shard servers over the
 // wire. Durability and sharding combine freely; Addrs subsumes Shards.
+// Both sharded forms run the same coordinator: with Shards and no Addrs
+// it hosts the shard servers itself and reaches them over in-memory pipes.
 type Config struct {
 	// Kind is the collection kind (Dirty or CleanClean).
 	Kind Kind
@@ -34,22 +33,25 @@ type Config struct {
 	// Meta enables live meta-blocking (WEP/WNP over CBS/ECBS/JS).
 	Meta *MetaBlocker
 
-	// Dir makes the deployment durable: single-node and in-process sharded
-	// resolvers journal under it, and the networked coordinator keeps its
-	// own journal there. Empty means fully in-memory.
+	// Dir makes the deployment durable: a single-node resolver journals
+	// under it; an in-process sharded deployment keeps its coordinator
+	// journal in Dir/coordinator and shard i's in Dir/shard-%03d; the
+	// networked coordinator keeps its own journal there. Empty means fully
+	// in-memory.
 	Dir string
 	// Durable tunes the write-ahead log when Dir is set.
 	Durable StreamingDurable
 
-	// Shards > 1 partitions the blocking-key space across in-process shard
-	// resolvers.
+	// Shards > 1 partitions the blocking-key space across shard servers
+	// hosted in this process.
 	Shards int
 
 	// Addrs selects the networked deployment: one shard server address per
 	// shard (see NewShardServer / the erctl shard command). Shards, when
 	// set, must agree with len(Addrs).
 	Addrs []string
-	// Transport tunes the shard connections (timeouts, retry attempts).
+	// Transport tunes the shard connections (timeouts, retry attempts),
+	// in-process pipes included.
 	Transport TransportOptions
 
 	// Sources are input files — N-Triples, CSV or JSON-lines — preloaded
@@ -60,8 +62,8 @@ type Config struct {
 	Sources []Source
 }
 
-// sharded renders the config in the internal deployment form shared by the
-// in-process and networked coordinators.
+// sharded renders the config in the internal deployment form of the
+// coordinator and its shard servers.
 func (cfg Config) sharded() sharded.Config {
 	return sharded.Config{
 		Kind: cfg.Kind, Blocker: cfg.Blocker, Matcher: cfg.Matcher,
@@ -160,7 +162,7 @@ type Resolver interface {
 	Close() error
 }
 
-// ShardRejoiner is implemented by the networked Resolver: after a shard
+// ShardRejoiner is implemented by the sharded Resolver forms: after a shard
 // server restarts, RejoinShard reconnects it and closes whatever gap its
 // absence left (journal catch-up or snapshot shipping over the wire).
 type ShardRejoiner interface {
@@ -169,10 +171,11 @@ type ShardRejoiner interface {
 	TransportStats() TransportStats
 }
 
-// DurableReporter is implemented by the local deployment forms (no Addrs):
-// Recovery reports what each journal's open restored — one entry per
-// shard, one for single-node — and Abandon hard-stops without sealing the
-// journal, simulating a crash for tests and benchmarks.
+// DurableReporter is implemented by every deployment form: Recovery reports
+// what each journal this process opened restored — one entry for
+// single-node; the coordinator's replica journal first, then one per
+// in-process shard, for the sharded forms — and Abandon hard-stops without
+// sealing the journals, simulating a crash for tests and benchmarks.
 type DurableReporter interface {
 	Recovery() []StreamingRecovery
 	Abandon()
@@ -180,9 +183,10 @@ type DurableReporter interface {
 
 // PerfReporter is implemented by every deployment form: Perf reports the
 // cumulative machine-independent work counters without reconciling or
-// otherwise mutating state — summed over shards for the in-process sharded
-// form; coordinator-process counters only (replica plus fan-out/round-trip
-// tallies, not the remote shards' journals) for the networked form.
+// otherwise mutating state. The sharded forms report the coordinator's
+// counters — its replica journal plus fan-out and round-trip tallies — not
+// the shard servers' journals, whether the shards run in this process or
+// in others.
 type PerfReporter interface {
 	Perf() StreamingPerf
 }
@@ -217,33 +221,29 @@ func NewShardServer(dir string, cfg Config, index int) (*ShardServer, error) {
 //
 //   - no Addrs, Shards <= 1: a single-node streaming resolver, durable
 //     under Dir when set;
-//   - no Addrs, Shards > 1: the in-process sharded resolver;
-//   - Addrs set: the networked coordinator, one shard server per address,
-//     with Dir as the coordinator's own journal directory.
+//   - no Addrs, Shards > 1: the coordinator driving Shards shard servers
+//     hosted in this process over in-memory pipes, durable under Dir when
+//     set;
+//   - Addrs set: the same coordinator, one shard server per address, with
+//     Dir as the coordinator's own journal directory.
 //
 // The returned Resolver is bit-exact across these forms for the same
 // operation stream; pick by operational need, not by semantics.
 func Open(ctx context.Context, cfg Config) (Resolver, error) {
 	var r Resolver
 	switch {
-	case len(cfg.Addrs) > 0:
-		co, err := transport.OpenCoordinator(ctx, cfg.Dir, cfg.sharded(), cfg.Addrs, cfg.Transport)
+	case len(cfg.Addrs) > 0 || cfg.Shards > 1:
+		var co *transport.Coordinator
+		var err error
+		if len(cfg.Addrs) > 0 {
+			co, err = transport.OpenCoordinator(ctx, cfg.Dir, cfg.sharded(), cfg.Addrs, cfg.Transport)
+		} else {
+			co, err = transport.OpenLocal(ctx, cfg.Dir, cfg.sharded(), cfg.Transport)
+		}
 		if err != nil {
 			return nil, err
 		}
 		r = &networkedResolver{adapter{co}, co}
-	case cfg.Shards > 1:
-		var sh *ShardedResolver
-		var err error
-		if cfg.Dir != "" {
-			sh, err = sharded.Open(cfg.Dir, cfg.sharded())
-		} else {
-			sh, err = sharded.New(cfg.sharded())
-		}
-		if err != nil {
-			return nil, err
-		}
-		r = &shardedAdapter{adapter{sh}, sh}
 	default:
 		icfg := incremental.Config{
 			Kind: cfg.Kind, Blocker: cfg.Blocker, Matcher: cfg.Matcher,
@@ -350,17 +350,8 @@ type singleAdapter struct {
 func (a *singleAdapter) Recovery() []StreamingRecovery { return []StreamingRecovery{a.sr.Recovery()} }
 func (a *singleAdapter) Abandon()                      { a.sr.Abandon() }
 
-// shardedAdapter adapts the in-process sharded resolver.
-type shardedAdapter struct {
-	adapter
-	sh *ShardedResolver
-}
-
-func (a *shardedAdapter) Recovery() []StreamingRecovery { return a.sh.Recovery() }
-func (a *shardedAdapter) Abandon()                      { a.sh.Abandon() }
-
-// networkedResolver adapts the transport coordinator; it additionally
-// implements ShardRejoiner.
+// networkedResolver adapts the coordinator of both sharded forms; it
+// additionally implements ShardRejoiner.
 type networkedResolver struct {
 	adapter
 	co *transport.Coordinator
@@ -370,19 +361,18 @@ func (a *networkedResolver) RejoinShard(ctx context.Context, shard int) error {
 	return a.co.RejoinShard(ctx, shard)
 }
 func (a *networkedResolver) TransportStats() TransportStats { return a.co.TransportStats() }
+func (a *networkedResolver) Recovery() []StreamingRecovery  { return a.co.Recovery() }
+func (a *networkedResolver) Abandon()                       { a.co.Abandon() }
 
 // compile-time conformance
 var (
 	_ Resolver        = (*singleAdapter)(nil)
-	_ Resolver        = (*shardedAdapter)(nil)
 	_ Resolver        = (*networkedResolver)(nil)
 	_ ShardRejoiner   = (*networkedResolver)(nil)
 	_ DurableReporter = (*singleAdapter)(nil)
-	_ DurableReporter = (*shardedAdapter)(nil)
+	_ DurableReporter = (*networkedResolver)(nil)
 	_ PerfReporter    = (*singleAdapter)(nil)
-	_ PerfReporter    = (*shardedAdapter)(nil)
 	_ PerfReporter    = (*networkedResolver)(nil)
 	_ backend         = (*incremental.Resolver)(nil)
-	_ backend         = (*sharded.Resolver)(nil)
 	_ backend         = (*transport.Coordinator)(nil)
 )

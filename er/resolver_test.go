@@ -191,16 +191,16 @@ func TestOpenConformance(t *testing.T) {
 	}
 
 	// Each of the 6 calls above is a batch of one and costs exactly what a
-	// single operation always did: one append per journal it reaches (one
-	// per shard on the sharded form, the replica's on the networked one),
-	// one fan-out, and one wire round trip per shard.
+	// single operation always did: one journal append (the coordinator
+	// replica's on the sharded forms), one fan-out, and one round trip per
+	// shard.
 	for _, row := range []struct {
 		form                        string
 		appends, fanOuts, roundTrip int64
 	}{
 		{"single", 6, 0, 0},
 		{"durable", 6, 0, 0},
-		{"sharded", 6 * 3, 6, 0},
+		{"sharded", 6, 6, 6 * 3},
 		{"networked", 6, 6, 6 * 2},
 	} {
 		p := forms[row.form].(er.PerfReporter).Perf()
@@ -346,33 +346,6 @@ func TestOpenValidation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases: the v1 constructors still work during the
-// deprecation window.
-func TestDeprecatedAliases(t *testing.T) {
-	ctx := context.Background()
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
-		Kind:    er.Dirty,
-		Blocker: &er.TokenBlocking{},
-		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Insert(ctx, &er.Description{URI: "u:v1", Attrs: []er.Attribute{{Name: "n", Value: "v"}}}); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := er.NewShardedResolver(er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{},
-		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}, Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeConformance drives the networked query path end to end at the
 // er level: Open over shard servers answers the same queries as single.
 func TestNetworkedQueryAfterRejoin(t *testing.T) {
@@ -408,7 +381,7 @@ func TestNetworkedQueryAfterRejoin(t *testing.T) {
 }
 
 // TestCapabilityInterfaces exercises the optional capability surfaces of
-// the v2 adapters: DurableReporter on the local forms, ShardRejoiner's
+// the adapters: DurableReporter on every form, ShardRejoiner's
 // rejoin of a healthy shard, and the not-found error rendering.
 func TestCapabilityInterfaces(t *testing.T) {
 	ctx := context.Background()
@@ -432,8 +405,8 @@ func TestCapabilityInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := sh.(er.DurableReporter).Recovery(); len(rec) != 2 {
-		t.Fatalf("sharded Recovery = %v", rec)
+	if rec := sh.(er.DurableReporter).Recovery(); len(rec) != 1+2 {
+		t.Fatalf("sharded Recovery = %v, want the coordinator's and 2 shards'", rec)
 	}
 	sh.(er.DurableReporter).Abandon()
 

@@ -9,8 +9,9 @@ import (
 )
 
 // TestFacadeStreamingResolver exercises the public streaming surface end to
-// end: build an op log, replay it through a StreamingResolver, and check
-// the maintained state equals a batch pipeline over the survivors.
+// end: build an op log, replay it through an in-memory er.Open resolver,
+// and check the maintained state equals a batch pipeline over the
+// survivors.
 func TestFacadeStreamingResolver(t *testing.T) {
 	attrs := func(name, city string) []er.Attribute {
 		return []er.Attribute{{Name: "name", Value: name}, {Name: "city", Value: city}}
@@ -33,7 +34,8 @@ func TestFacadeStreamingResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
+	ctx := context.Background()
+	r, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
@@ -42,28 +44,29 @@ func TestFacadeStreamingResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	defer r.Close()
 	for i, op := range decoded {
-		if err := r.Apply(ctx, op); err != nil {
+		if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 
 	// Survivors: a and (updated) c, now identical — one match, one cluster.
-	a, ok := r.Lookup("u:a")
-	if !ok {
-		t.Fatal("u:a not live")
+	a, err := r.Query(ctx, er.Query{URI: "u:a"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, ok := r.Lookup("u:c")
-	if !ok {
-		t.Fatal("u:c not live")
+	c, err := r.Query(ctx, er.Query{URI: "u:c"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m := mustMatches(t, r); m.Len() != 1 || !m.Contains(a, c) {
-		t.Fatalf("matches = %v, want {%d,%d}", m.Pairs(), a, c)
+	if len(a.SameAs) != 1 || a.SameAs[0] != c.ID {
+		t.Fatalf("u:a SameAs = %v, want [%d]", a.SameAs, c.ID)
 	}
 
-	// Differential check through the public snapshot + batch pipeline.
-	snap, matches := mustSnapshot(t, r)
+	// Differential check through a snapshot of the public read surface and
+	// the batch pipeline.
+	snap, matches := snapshotOf(t, r)
 	batch := &er.Pipeline{
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
@@ -109,9 +112,9 @@ func TestFacadeStreamingMode(t *testing.T) {
 }
 
 // TestFacadeStreamingMetaBlocking exercises the public live meta-blocking
-// surface: a StreamingResolver with a stream-safe MetaBlocker equals the
-// batch meta pipeline on a static replay, reports its pruning counters,
-// and renders the same restructured block collection.
+// surface: a resolver with a stream-safe MetaBlocker equals the batch meta
+// pipeline on a static replay and reports its pruning counters, and the
+// streaming pipeline renders the same restructured block collection.
 func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	c, _, err := er.GenerateDirty(er.GenConfig{Seed: 13, Entities: 60, DupRatio: 0.6})
 	if err != nil {
@@ -126,7 +129,8 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := er.NewStreamingResolver(er.StreamingConfig{
+	ctx := context.Background()
+	r, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: matcher,
@@ -136,7 +140,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	defer r.Close()
 	for _, d := range c.All() {
 		if _, err := r.Insert(ctx, d); err != nil {
 			t.Fatal(err)
@@ -155,7 +159,11 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 	if st.KeptPairs <= 0 || st.CandidatePairs < st.KeptPairs {
 		t.Fatalf("pruning counters kept=%d candidates=%d", st.KeptPairs, st.CandidatePairs)
 	}
-	if got := mustRestructuredBlocks(t, r); got.Len() != want.Blocks.Len() {
+	stream, err := (&er.Pipeline{Blocker: &er.TokenBlocking{}, Meta: meta, Matcher: matcher, Mode: er.StreamingMode}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stream.Blocks; got.Len() != want.Blocks.Len() {
 		t.Fatalf("restructured blocks = %d, batch = %d", got.Len(), want.Blocks.Len())
 	}
 	// The incremental statistics core is exported too: batch-accumulated
@@ -168,7 +176,7 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 		t.Fatalf("NewWeightedBlockingGraph not empty")
 	}
 	// A batch-only scheme is rejected with its specific reason.
-	if _, err := er.NewStreamingResolver(er.StreamingConfig{
+	if _, err := er.Open(ctx, er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: matcher,
@@ -179,28 +187,31 @@ func TestFacadeStreamingMetaBlocking(t *testing.T) {
 }
 
 // TestFacadePersistentResolver exercises the durable storage layer through
-// the public API: journal an op stream into a WAL directory, hard-stop
-// without closing, reopen with PersistentResolver, and keep resolving —
-// the recovered state must match an in-memory resolver fed the same ops.
+// the public API: journal an op stream into a WAL directory, close it,
+// reopen it with er.Open, and keep resolving — the recovered state must
+// match an in-memory resolver fed the same ops.
 func TestFacadePersistentResolver(t *testing.T) {
 	attrs := func(name string) []er.Attribute {
 		return []er.Attribute{{Name: "name", Value: name}}
 	}
-	cfg := er.StreamingConfig{
+	ctx := context.Background()
+	memCfg := er.Config{
 		Kind:    er.Dirty,
 		Blocker: &er.TokenBlocking{},
 		Matcher: &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5},
-		Durable: er.StreamingDurable{NoSync: true, SnapshotEvery: 3},
 	}
-	dir := t.TempDir()
-	r, err := er.PersistentResolver(dir, cfg)
+	cfg := memCfg
+	cfg.Dir = t.TempDir()
+	cfg.Durable = er.StreamingDurable{NoSync: true, SnapshotEvery: 3}
+	r, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := er.NewStreamingResolver(cfg)
+	mem, err := er.Open(ctx, memCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mem.Close()
 	ops := []er.StreamOp{
 		{Kind: er.StreamInsert, URI: "u:a", Attrs: attrs("alice smith")},
 		{Kind: er.StreamInsert, URI: "u:b", Attrs: attrs("alice smith")},
@@ -209,12 +220,11 @@ func TestFacadePersistentResolver(t *testing.T) {
 		{Kind: er.StreamInsert, URI: "u:d", Attrs: attrs("dave brown")},
 		{Kind: er.StreamDelete, URI: "u:b"},
 	}
-	ctx := context.Background()
 	for i, op := range ops {
-		if err := r.Apply(ctx, op); err != nil {
+		if err := r.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if err := mem.Apply(ctx, op); err != nil {
+		if err := mem.ApplyBatch(ctx, []er.StreamOp{op}); err != nil {
 			t.Fatalf("mem op %d: %v", i, err)
 		}
 	}
@@ -223,12 +233,12 @@ func TestFacadePersistentResolver(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := er.PersistentResolver(dir, cfg)
+	got, err := er.Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	rec := got.Recovery()
+	rec := got.(er.DurableReporter).Recovery()[0]
 	if !rec.Recovered || rec.SnapshotSegment == 0 {
 		t.Fatalf("recovery = %+v, want recovered with a snapshot anchor", rec)
 	}
@@ -239,15 +249,15 @@ func TestFacadePersistentResolver(t *testing.T) {
 	if g, w := mustStats(t, got), mustStats(t, mem); g != w {
 		t.Fatalf("recovered stats %+v, want %+v", g, w)
 	}
-	if g, w := mustMatches(t, got).Len(), mustMatches(t, mem).Len(); g != w {
-		t.Fatalf("recovered %d matches, want %d", g, w)
+	if _, g := snapshotOf(t, got); g.Len() != mustStats(t, mem).Matches {
+		t.Fatalf("recovered %d matches, want %d", g.Len(), mustStats(t, mem).Matches)
 	}
 	// The recovered resolver keeps accepting the stream.
-	more := er.StreamOp{Kind: er.StreamInsert, URI: "u:e", Attrs: attrs("carol jones")}
-	if err := got.Apply(ctx, more); err != nil {
+	more := []er.StreamOp{{Kind: er.StreamInsert, URI: "u:e", Attrs: attrs("carol jones")}}
+	if err := got.ApplyBatch(ctx, more); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Apply(ctx, more); err != nil {
+	if err := mem.ApplyBatch(ctx, more); err != nil {
 		t.Fatal(err)
 	}
 	if g, w := mustStats(t, got), mustStats(t, mem); g != w {
@@ -256,28 +266,30 @@ func TestFacadePersistentResolver(t *testing.T) {
 }
 
 // TestFacadeShardedResolver exercises the public sharded surface end to
-// end: the same op stream through a single-node and a sharded resolver,
-// bit-equal state; a durable sharded run with a shard hard-stopped and
-// rejoined; and the Pipeline's StreamShards knob.
+// end: the same op stream through a single-node and an in-process sharded
+// deployment, bit-equal state; a durable sharded run abandoned whole and
+// reopened; and the Pipeline's StreamShards knob.
 func TestFacadeShardedResolver(t *testing.T) {
 	c, _, err := er.GenerateDirty(er.GenConfig{Seed: 9, Entities: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &er.Matcher{Sim: &er.TokenJaccard{}, Threshold: 0.5}
-	single, err := er.NewStreamingResolver(er.StreamingConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := er.NewShardedResolver(er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2, Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
+	open := func(cfg er.Config) er.Resolver {
+		t.Helper()
+		r, err := er.Open(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	base := er.Config{Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2}
+	single := open(base)
+	shCfg := base
+	shCfg.Shards = 4
+	sh := open(shCfg)
 	for _, d := range c.All() {
 		if _, err := single.Insert(ctx, d); err != nil {
 			t.Fatal(err)
@@ -290,40 +302,36 @@ func TestFacadeShardedResolver(t *testing.T) {
 	if ss != hs {
 		t.Fatalf("sharded stats %+v diverge from single-node %+v", hs, ss)
 	}
-	mustMatches(t, single).Each(func(p er.Pair) bool {
-		if !mustMatches(t, sh).Contains(p.A, p.B) {
+	_, sm := snapshotOf(t, single)
+	_, hm := snapshotOf(t, sh)
+	sm.Each(func(p er.Pair) bool {
+		if !hm.Contains(p.A, p.B) {
 			t.Fatalf("sharded state misses match %v", p)
 		}
 		return true
 	})
 
-	// Durable: journal into per-shard WALs, hard-stop a shard, rejoin it.
-	dir := t.TempDir()
-	pr, err := er.PersistentShardedResolver(dir, er.ShardedConfig{
-		Kind: er.Dirty, Blocker: &er.TokenBlocking{}, Matcher: m, Workers: 2, Shards: 3,
-		Durable: er.StreamingDurable{NoSync: true, SnapshotEvery: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
+	// Durable: journal into the coordinator and shard WALs, abandon the
+	// whole deployment, reopen it.
+	prCfg := base
+	prCfg.Shards = 3
+	prCfg.Dir = t.TempDir()
+	prCfg.Durable = er.StreamingDurable{NoSync: true, SnapshotEvery: 16}
+	pr := open(prCfg)
 	for _, d := range c.All() {
 		if _, err := pr.Insert(ctx, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pr.StopShard(1); err != nil {
-		t.Fatal(err)
+	pr.(er.DurableReporter).Abandon()
+	re := open(prCfg)
+	for i, rec := range re.(er.DurableReporter).Recovery() {
+		if !rec.Recovered {
+			t.Fatalf("journal %d of the reopened deployment found no state", i)
+		}
 	}
-	rec, err := pr.RejoinShard(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Recovered {
-		t.Fatal("rejoined shard found no state")
-	}
-	if st := mustStats(t, pr); st != ss {
-		t.Fatalf("durable sharded stats %+v diverge from single-node %+v after rejoin", st, ss)
+	if st := mustStats(t, re); st != ss {
+		t.Fatalf("durable sharded stats %+v diverge from single-node %+v after reopen", st, ss)
 	}
 
 	// Pipeline knob: StreamShards replays through the sharded resolver.

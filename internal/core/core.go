@@ -51,6 +51,7 @@ import (
 	"entityres/internal/metablocking"
 	"entityres/internal/progressive"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 )
 
 // Mode selects the execution strategy of the matching/update phases.
@@ -225,8 +226,8 @@ func (p *Pipeline) Validate() error {
 }
 
 // streamResolver is what the streaming replay drives: the single-node
-// resolver (package incremental) and the sharded one (package sharded)
-// both provide it.
+// resolver (package incremental) and the sharded deployment's coordinator
+// (package transport) both provide it.
 type streamResolver interface {
 	Insert(ctx context.Context, d *entity.Description) (entity.ID, error)
 	Flush(ctx context.Context) error
@@ -238,10 +239,11 @@ type streamResolver interface {
 }
 
 // openStream builds the streaming resolver of a Streaming-mode pipeline
-// over a collection of the given kind: the sharded resolver when
-// StreamShards > 1, the single-node one otherwise — durable (crash-recovered
-// from StreamDir) when the pipeline sets one, in-memory otherwise.
-func (p *Pipeline) openStream(kind entity.Kind, workers int) (streamResolver, error) {
+// over a collection of the given kind: a coordinator driving StreamShards
+// shard servers hosted in this process when StreamShards > 1, the
+// single-node resolver otherwise — durable (crash-recovered from StreamDir)
+// when the pipeline sets one, in-memory otherwise.
+func (p *Pipeline) openStream(ctx context.Context, kind entity.Kind, workers int) (streamResolver, error) {
 	sb, ok := p.Blocker.(blocking.StreamableBlocker)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming mode requires a blocking.StreamableBlocker")
@@ -256,10 +258,7 @@ func (p *Pipeline) openStream(kind entity.Kind, workers int) (streamResolver, er
 			Shards:  p.StreamShards,
 			Durable: p.StreamDurable,
 		}
-		if p.StreamDir != "" {
-			return sharded.Open(p.StreamDir, cfg)
-		}
-		return sharded.New(cfg)
+		return transport.OpenLocal(ctx, p.StreamDir, cfg, transport.ClientOptions{})
 	}
 	cfg := incremental.Config{
 		Kind:    kind,
@@ -280,7 +279,7 @@ func (p *Pipeline) openStream(kind entity.Kind, workers int) (streamResolver, er
 // comparison count, block collection). The results are bit-exact whether
 // the resolver is single-node or sharded.
 func (p *Pipeline) replayStream(ctx context.Context, res *Result, c *entity.Collection, workers int) error {
-	r, err := p.openStream(c.Kind(), workers)
+	r, err := p.openStream(ctx, c.Kind(), workers)
 	if err != nil {
 		return err
 	}

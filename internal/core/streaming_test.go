@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 )
 
 // TestPipelineStreamingEqualsBatch is the mode-level differential contract:
@@ -217,7 +219,7 @@ func TestStreamingValidation(t *testing.T) {
 func TestStreamingSetupErrors(t *testing.T) {
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	p := &Pipeline{Blocker: &blocking.AttributeClustering{}, Matcher: m}
-	if _, err := p.openStream(0, 1); err == nil {
+	if _, err := p.openStream(context.Background(), 0, 1); err == nil {
 		t.Fatal("openStream accepted a collection-dependent blocker")
 	}
 }
@@ -365,8 +367,9 @@ func TestPipelineStreamShards(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamShardsDurable: StreamShards + StreamDir journals each
-// shard under shard-%03d and the directory recovers through sharded.Open.
+// TestPipelineStreamShardsDurable: StreamShards + StreamDir journals the
+// coordinator under coordinator/ and each shard under shard-%03d, and the
+// directory recovers through transport.OpenLocal.
 func TestPipelineStreamShardsDurable(t *testing.T) {
 	c, _ := testData(t)
 	m := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
@@ -378,16 +381,18 @@ func TestPipelineStreamShardsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sharded.Open(dir, sharded.Config{
+	r, err := transport.OpenLocal(context.Background(), dir, sharded.Config{
 		Kind: c.Kind(), Blocker: &blocking.TokenBlocking{}, Matcher: m, Shards: 3,
 		Durable: incremental.DurableOptions{NoSync: true, SnapshotEvery: 8},
-	})
+	}, transport.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.Recovered() {
-		t.Fatal("StreamDir left no recoverable sharded state")
+	for i, rec := range r.Recovery() {
+		if !rec.Recovered {
+			t.Fatalf("StreamDir left no recoverable state in journal %d", i)
+		}
 	}
 	st, err := r.Stats()
 	if err != nil {

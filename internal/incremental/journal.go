@@ -15,8 +15,9 @@
 //
 // Compaction bounds recovery: every DurableOptions.SnapshotEvery journaled
 // records the resolver rotates the log, writes a snapshot of its full state
-// (surviving descriptions with their blocking keys, match graph, weighted
-// blocking graph, matcher-decision cache, counters) named after the new
+// (surviving descriptions with their blocking keys, match graph,
+// matcher-decision cache, counters; the weighted blocking graph is not
+// stored — restore re-derives it from the membership) named after the new
 // active segment, and deletes the segments the snapshot covers. OpenResolver
 // restores the latest snapshot and replays only the tail — the records
 // journaled after it.
@@ -110,9 +111,10 @@ type DurableOptions struct {
 	// durable before it is acknowledged, but one fsync can cover many.
 	// Batching requires concurrent appenders on one log; a resolver
 	// serializes its own operations, so with a single writer the mode is
-	// sync-for-sync identical to per-op fsync. The sharded resolver
-	// enables it on every per-shard WAL so concurrent ingestion (the
-	// multi-process-transport follow-on) batches automatically.
+	// sync-for-sync identical to per-op fsync. sharded.Config.NodeConfig
+	// enables it on every shard server's journal; the coordinator sends
+	// each shard one frame at a time, so no shard log sees concurrent
+	// appenders today.
 	GroupCommit bool
 }
 
@@ -120,11 +122,11 @@ type DurableOptions struct {
 // DurableOptions.SnapshotEvery is zero.
 const DefaultSnapshotEvery = 1024
 
-// ShardedManifestName is the marker file a sharded deployment root
-// (package sharded) pins its layout with. It lives here — the one durable
-// layer both deployment forms build on — so the single-node OpenResolver
-// and the sharded coordinator agree on it from a single definition and
-// can refuse to open each other's directories.
+// ShardedManifestName is the marker file a durable in-process sharded
+// deployment root (transport.OpenLocal) pins its layout with. It lives
+// here — the one durable layer both deployment forms build on — so the
+// single-node OpenResolver and the sharded deployment agree on it from a
+// single definition and can refuse to open each other's directories.
 const ShardedManifestName = "shards.manifest"
 
 // RecoveryInfo describes what OpenResolver restored.
@@ -330,8 +332,8 @@ func OpenResolver(dir string, cfg Config) (*Resolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A sharded deployment's root (package sharded) holds per-shard
-	// journals in shard-%03d subdirectories; opening it as a single-node
+	// A sharded deployment's root holds the coordinator journal and
+	// per-shard journals in subdirectories; opening it as a single-node
 	// directory would start a fresh journal beside them and silently
 	// ignore the real state.
 	if _, serr := os.Stat(filepath.Join(dir, ShardedManifestName)); serr == nil {
@@ -446,10 +448,10 @@ func (r *Resolver) Recovery() RecoveryInfo {
 
 // LastRecord returns the most recently applied operation in its journaled,
 // replayable form — tracked across restarts (it is part of the snapshot,
-// so compaction never loses it). The sharded coordinator uses it to repair
-// a whole-process crash that interrupted a fan-out between shards: the
-// shard whose journal runs one operation ahead donates the record so the
-// others can roll forward to the same point.
+// so compaction never loses it). The coordinator's replica uses it to
+// repair a crash that interrupted a fan-out: a shard journals a frame
+// whole, so it sits at the record's start or past it, and the coordinator
+// re-sends the record to the shards still behind.
 func (r *Resolver) LastRecord() (Record, bool) {
 	r.rlock()
 	defer r.mu.RUnlock()
@@ -468,10 +470,6 @@ func (rec Record) Ops() []Record {
 	}
 	return []Record{rec}
 }
-
-// SpanOps reports how many stream operations the record carries. Crash
-// repair uses it to size the window a single lost append can open.
-func (rec Record) SpanOps() int64 { return int64(len(rec.Ops())) }
 
 var errClosed = fmt.Errorf("incremental: resolver is closed")
 

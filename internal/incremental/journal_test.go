@@ -410,12 +410,12 @@ func TestRecoveryWithLiveMetaBlocking(t *testing.T) {
 	}
 }
 
-// mergedWeighted folds r's weighted blocking graph into an empty one, so
-// two resolvers' statistics compare with reflect.DeepEqual.
+// mergedWeighted copies r's weighted blocking graph, so two resolvers'
+// statistics compare with reflect.DeepEqual.
 func mergedWeighted(t *testing.T, r *incremental.Resolver) *metablocking.WeightedGraph {
 	t.Helper()
-	wg := metablocking.NewWeightedGraph(r.Kind())
-	if !r.MergeWeightedInto(wg) {
+	wg := incremental.WeightedOf(r)
+	if wg == nil {
 		t.Fatal("resolver maintains no weighted blocking graph")
 	}
 	return wg

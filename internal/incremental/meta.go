@@ -238,12 +238,11 @@ func (r *Resolver) applyRefates(ctx context.Context, refates []metablocking.Refa
 			fresh = append(fresh, f.Pair)
 		}
 	}
-	n, _, err := evaluateFresh(ctx, r.coll, r.cfg.Matcher, r.cfg.Workers, r.simCache, fresh)
+	n, err := evaluateFresh(ctx, r.coll, r.cfg.Matcher, r.cfg.Workers, r.simCache, fresh)
 	if err != nil {
 		return 0, err
 	}
-	// Mirror ReconcileKept's patch order: retire the stale edges first,
-	// then add the surviving ones.
+	// Retire the stale edges first, then add the surviving ones.
 	var stale []entity.Pair
 	for _, f := range refates {
 		if !f.Kept {

@@ -187,7 +187,7 @@ type Resolver struct {
 	// first reconcile, seeded from lastKept), and the dirty flag driving
 	// the deferred reconcile (see meta.go).
 	weighted  *metablocking.WeightedGraph
-	simCache  *DecisionCache
+	simCache  *decisionCache
 	lastKept  []graph.Edge
 	pruner    *metablocking.DeltaPruner
 	metaDirty bool
@@ -232,7 +232,7 @@ func New(cfg Config) (*Resolver, error) {
 		// notifications, so every Add/Remove below keeps it current.
 		r.weighted = metablocking.NewWeightedGraph(cfg.Kind)
 		r.blocks.Observe(r.weighted)
-		r.simCache = NewDecisionCache()
+		r.simCache = newDecisionCache()
 	}
 	return r, nil
 }
@@ -884,17 +884,6 @@ func (r *Resolver) Slots() int {
 	return r.coll.Len()
 }
 
-// MatchNeighbors returns the descriptions currently matched to id in this
-// resolver's match graph, sorted ascending (nil when it has none), without
-// reconciling deferred meta-blocking work. It is the per-operation edge
-// feed of the sharded coordinator: after an operation on id, the union of
-// the shards' neighbors of id is exactly the global match delta.
-func (r *Resolver) MatchNeighbors(id entity.ID) []entity.ID {
-	r.rlock()
-	defer r.mu.RUnlock()
-	return r.dyn.Graph().Neighbors(id)
-}
-
 // MatchEdges returns the resolver's current match edges sorted by (A, B),
 // without reconciling deferred meta-blocking work — the raw shard-local
 // edge set a coordinator unions into its global match graph.
@@ -904,28 +893,12 @@ func (r *Resolver) MatchEdges() []graph.Edge {
 	return r.dyn.SnapshotEdges()
 }
 
-// MergeWeightedInto folds this resolver's live weighted blocking graph
-// into dst and reports whether the resolver maintains one (Meta
-// configured). The fold is purely additive, so a coordinator that merges
-// shards owning disjoint key spaces reconstructs exactly the weighted
-// graph a single resolver over the whole key space would hold.
-func (r *Resolver) MergeWeightedInto(dst *metablocking.WeightedGraph) bool {
-	r.rlock()
-	defer r.mu.RUnlock()
-	if r.weighted == nil {
-		return false
-	}
-	dst.Merge(r.weighted)
-	return true
-}
-
 // EachSlot enumerates every collection slot in handle order — dead slots
 // (deleted descriptions, burned inserts) included, with live=false and the
 // description's content unspecified — stopping early if fn returns false.
 // The description handed to fn is the resolver's own; callers must not
 // retain or mutate it. No deferred work is reconciled. This is the bulk
-// state feed a coordinator rebuilds its replica from when reopening a
-// sharded directory.
+// state feed the coordinator builds a shard's bootstrap image from.
 func (r *Resolver) EachSlot(fn func(id entity.ID, live bool, d *entity.Description) bool) {
 	r.rlock()
 	defer r.mu.RUnlock()

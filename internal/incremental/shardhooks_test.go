@@ -12,8 +12,9 @@ import (
 )
 
 // The sharding hooks on the single-node resolver: the DeltaFilter pair
-// ownership rule and the non-reconciling coordinator accessors
-// (Counters, MatchNeighbors, MatchEdges, MergeWeightedInto, EachSlot).
+// ownership rule and the non-reconciling accessors a shard server and the
+// coordinator read (Counters, MatchEdges, EachSlot; MatchNeighbors is the
+// tests' per-handle view of the same graph).
 
 func hookConfig(filter func(d *entity.Description) func(key string, other *entity.Description) bool) incremental.Config {
 	return incremental.Config{
@@ -164,8 +165,8 @@ func TestCoordinatorAccessors(t *testing.T) {
 }
 
 // TestCountersAndMergeWithoutReconcile: under live meta-blocking, Counters
-// and MergeWeightedInto must not trigger the deferred reconcile — that is
-// what lets the sharded coordinator aggregate shard state without burning
+// and reading the weighted graph must not trigger the deferred reconcile —
+// a shard server reports Counters on every acknowledgement without burning
 // shard-local comparisons.
 func TestCountersAndMergeWithoutReconcile(t *testing.T) {
 	cfg := hookConfig(nil)
@@ -185,27 +186,27 @@ func TestCountersAndMergeWithoutReconcile(t *testing.T) {
 	if st := r.Counters(); st.Comparisons != 0 || st.Inserts != 2 {
 		t.Fatalf("Counters reconciled deferred meta work: %+v", st)
 	}
-	merged := metablocking.NewWeightedGraph(entity.Dirty)
-	if !r.MergeWeightedInto(merged) {
-		t.Fatal("MergeWeightedInto reported no weighted graph on a meta resolver")
+	merged := incremental.WeightedOf(r)
+	if merged == nil {
+		t.Fatal("no weighted graph on a meta resolver")
 	}
 	if merged.NumPairs() != 1 {
 		t.Fatalf("merged graph holds %d pairs, want 1", merged.NumPairs())
 	}
 	if st := r.Counters(); st.Comparisons != 0 {
-		t.Fatalf("MergeWeightedInto reconciled deferred meta work: %+v", st)
+		t.Fatalf("reading the weighted graph reconciled deferred meta work: %+v", st)
 	}
 	// Stats DOES reconcile; afterwards the counters agree.
 	if st := mustStats(t, r); st.Comparisons != 1 || st.Matches != 1 || st.CandidatePairs != 1 {
 		t.Fatalf("Stats after reconcile = %+v", st)
 	}
-	// A non-meta resolver has nothing to merge.
+	// A non-meta resolver maintains no weighted graph.
 	plain, err := incremental.New(hookConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.MergeWeightedInto(metablocking.NewWeightedGraph(entity.Dirty)) {
-		t.Fatal("MergeWeightedInto reported a weighted graph on a plain resolver")
+	if incremental.WeightedOf(plain) != nil {
+		t.Fatal("a weighted graph on a plain resolver")
 	}
 }
 

@@ -154,8 +154,8 @@ func DecodeImage(payload []byte) (*Image, error) {
 // none of the graceful shutdown work (no checkpoint, no reconcile, no
 // final compaction). The on-disk state is exactly what the journaled
 // operations left there, which is what crash recovery must reopen from.
-// It is the kill -9 of the shard lifecycle: sharded.Resolver.StopShard
-// hard-stops a shard with it, and the crash test suites reopen abandoned
+// It is the kill -9 of the chaos suites: a shard server or coordinator
+// abandons its resolver with it, and the crash tests reopen abandoned
 // directories with OpenResolver. Abandoning an in-memory resolver only
 // disables further mutation.
 func (r *Resolver) Abandon() {
@@ -212,7 +212,7 @@ func (r *Resolver) encodeSnapshot() ([]byte, int, error) {
 
 // encodeSimCache flattens the bidirectional decision cache into canonical
 // (A < B) entries, sorted for a deterministic layout.
-func encodeSimCache(cache *DecisionCache) []simCacheJSON {
+func encodeSimCache(cache *decisionCache) []simCacheJSON {
 	var out []simCacheJSON
 	cache.Each(func(a, b entity.ID, sim bool) bool {
 		out = append(out, simCacheJSON{A: a, B: b, Match: sim})

@@ -12,11 +12,12 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 )
 
-// The coordinator's read/serving surface: Kind, Lookup, Get, Clusters,
-// Flush, per-shard edge introspection, and the broken/down error paths the
-// differential matrices never hit.
+// The in-process deployment's read/serving surface: Lookup, Get, Clusters,
+// Flush, and the closed/refused error paths the differential matrices
+// never hit.
 
 func apiConfig(shards int, meta *metablocking.MetaBlocker) sharded.Config {
 	return sharded.Config{
@@ -35,13 +36,7 @@ func apiDesc(uri, name string) *entity.Description {
 
 // TestShardedReadSurface drives the serving accessors end to end.
 func TestShardedReadSurface(t *testing.T) {
-	r, err := sharded.New(apiConfig(3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind() != entity.Dirty {
-		t.Fatalf("Kind = %v", r.Kind())
-	}
+	r := openLocal(t, "", apiConfig(3, nil))
 	ctx := context.Background()
 	a, err := r.Insert(ctx, apiDesc("u:a", "alice smith"))
 	if err != nil {
@@ -75,23 +70,6 @@ func TestShardedReadSurface(t *testing.T) {
 	if err := r.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Every match edge lives in exactly the shards that evaluated it; the
-	// per-shard views union to the global match set.
-	total := 0
-	for i := 0; i < r.Shards(); i++ {
-		for _, e := range r.MatchEdgesOfShard(i) {
-			if !mustMatches(t, r).Contains(e.A, e.B) {
-				t.Fatalf("shard %d holds edge %v outside the global match set", i, e)
-			}
-			total++
-		}
-	}
-	if total != mustMatches(t, r).Len() {
-		t.Fatalf("shard-local edges sum to %d, global matches %d", total, mustMatches(t, r).Len())
-	}
-	if r.MatchEdgesOfShard(99) != nil {
-		t.Fatal("MatchEdgesOfShard out of range returned edges")
-	}
 	// Duplicate URIs and unknown handles are rejected at the coordinator.
 	if _, err := r.Insert(ctx, apiDesc("u:a", "imposter")); err == nil {
 		t.Fatal("duplicate URI accepted")
@@ -99,7 +77,7 @@ func TestShardedReadSurface(t *testing.T) {
 	if err := r.Update(ctx, 99, nil); err == nil {
 		t.Fatal("update of unknown handle accepted")
 	}
-	if err := r.Delete(99); err == nil {
+	if err := r.Delete(ctx, 99); err == nil {
 		t.Fatal("delete of unknown handle accepted")
 	}
 	if _, err := r.Insert(ctx, nil); err == nil {
@@ -120,10 +98,7 @@ func TestShardedReadSurface(t *testing.T) {
 // TestShardedMetaFlush: Flush settles the deferred global reconcile, and a
 // second Flush with nothing new is free.
 func TestShardedMetaFlush(t *testing.T) {
-	r, err := sharded.New(apiConfig(2, &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLocal(t, "", apiConfig(2, &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}))
 	ctx := context.Background()
 	for _, d := range []*entity.Description{apiDesc("u:a", "alice smith"), apiDesc("u:b", "alice smith")} {
 		if _, err := r.Insert(ctx, d); err != nil {
@@ -148,68 +123,68 @@ func TestShardedMetaFlush(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycleErrors covers the stop/rejoin misuse paths.
+// TestShardedLifecycleErrors covers the rejoin misuse paths and the
+// recovery report of a fresh directory.
 func TestShardedLifecycleErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfg := apiConfig(2, nil)
 	cfg.Durable.NoSync = true
-	r, err := sharded.Open(dir, cfg)
-	if err != nil {
+	r := openLocal(t, dir, cfg)
+	ctx := context.Background()
+	if _, err := r.Insert(ctx, apiDesc("u:a", "alice")); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if _, err := r.Insert(context.Background(), apiDesc("u:a", "alice")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StopShard(7); err == nil {
-		t.Fatal("StopShard out of range accepted")
-	}
-	if _, err := r.RejoinShard(7); err == nil {
+	if err := r.RejoinShard(ctx, 7); err == nil {
 		t.Fatal("RejoinShard out of range accepted")
 	}
-	if _, err := r.RejoinShard(0); err == nil {
-		t.Fatal("RejoinShard of a running shard accepted")
+	// A shard that kept up rejoins with nothing to do.
+	if err := r.RejoinShard(ctx, 0); err != nil {
+		t.Fatalf("RejoinShard of a running shard: %v", err)
 	}
-	if err := r.StopShard(0); err != nil {
+	// A fresh directory reports no recovered journal.
+	for i, rec := range r.Recovery() {
+		if rec.Recovered {
+			t.Fatalf("fresh directory reported recovered state in journal %d", i)
+		}
+	}
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.StopShard(0); err == nil {
-		t.Fatal("double StopShard accepted")
-	}
-	if _, err := r.RejoinShard(0); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh (never-recovered) resolver reports no recovery.
-	if r.Recovered() {
-		t.Fatal("fresh directory reported recovered state")
+	if err := r.RejoinShard(ctx, 0); err == nil {
+		t.Fatal("RejoinShard after Close accepted")
 	}
 }
 
 // TestShardedOpenErrors covers the manifest and configuration guard paths.
 func TestShardedOpenErrors(t *testing.T) {
+	ctx := context.Background()
+	open := func(dir string, cfg sharded.Config) error {
+		co, err := transport.OpenLocal(ctx, dir, cfg, transport.ClientOptions{})
+		if err == nil {
+			co.Close()
+		}
+		return err
+	}
 	// A corrupt manifest refuses to open rather than guessing the layout.
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "shards.manifest"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sharded.Open(dir, apiConfig(2, nil)); err == nil {
+	if err := open(dir, apiConfig(2, nil)); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 	// Invalid configurations fail before any directory is touched.
-	if _, err := sharded.Open(t.TempDir(), sharded.Config{Shards: 2}); err == nil {
+	fresh := t.TempDir()
+	if err := open(fresh, sharded.Config{Shards: 2}); err == nil {
 		t.Fatal("blocker-less config accepted")
 	}
+	if ents, err := os.ReadDir(fresh); err != nil || len(ents) != 0 {
+		t.Fatalf("a refused config touched the directory: %v %v", ents, err)
+	}
 	// Unknown op kinds are rejected by Apply.
-	r, err := sharded.New(apiConfig(2, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Apply(context.Background(), incremental.Op{Kind: incremental.OpKind(99)}); err == nil {
+	r := openLocal(t, "", apiConfig(2, nil))
+	if err := r.Apply(ctx, incremental.Op{Kind: incremental.OpKind(99)}); err == nil {
 		t.Fatal("unknown op kind accepted")
-	}
-	// RejoinShard on an in-memory resolver is refused like StopShard.
-	if _, err := r.RejoinShard(0); err == nil {
-		t.Fatal("RejoinShard on an in-memory resolver accepted")
 	}
 }
 
@@ -218,10 +193,7 @@ func TestShardedOpenErrors(t *testing.T) {
 // and split the shard replicas (which would permanently disable the
 // resolver). Once admitted, an operation completes everywhere.
 func TestShardedCancellationGatesAdmission(t *testing.T) {
-	r, err := sharded.New(apiConfig(3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLocal(t, "", apiConfig(3, nil))
 	ctx := context.Background()
 	if _, err := r.Insert(ctx, apiDesc("u:a", "alice smith")); err != nil {
 		t.Fatal(err)
@@ -260,7 +232,7 @@ func TestLayoutMixingRefused(t *testing.T) {
 	cfg := apiConfig(2, nil)
 	cfg.Durable.NoSync = true
 
-	// Single-node directory refused by sharded.Open.
+	// Single-node directory refused by the sharded deployment.
 	singleDir := t.TempDir()
 	sr, err := incremental.OpenResolver(singleDir, incremental.Config{
 		Kind:    entity.Dirty,
@@ -277,16 +249,13 @@ func TestLayoutMixingRefused(t *testing.T) {
 	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sharded.Open(singleDir, cfg); err == nil {
-		t.Fatal("sharded.Open accepted a single-node journal directory")
+	if _, err := transport.OpenLocal(ctx, singleDir, cfg, transport.ClientOptions{}); err == nil {
+		t.Fatal("the sharded deployment accepted a single-node journal directory")
 	}
 
 	// Sharded directory refused by the single-node OpenResolver.
 	shardedDir := t.TempDir()
-	r, err := sharded.Open(shardedDir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openLocal(t, shardedDir, cfg)
 	if _, err := r.Insert(ctx, apiDesc("u:a", "alice")); err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,18 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 )
 
 // The sharded batched-ingestion property: a coordinator fed whole batches
-// — one plan, one fan-out, one shard-journal append per shard per batch —
+// — one plan, one replica journal append, one frame per shard per batch —
 // is bit-identical to a single-node resolver fed the same stream one op at
 // a time; and a durable deployment hard-stopped around a batch observes
 // batch atomicity per shard, with a shard that lost the final batch record
-// rolled forward whole from the coordinator journal on reopen.
+// handed the whole batch again from the coordinator journal on reopen.
 
 // applyOpBatch converts a script chunk to batch records and applies it.
-func applyOpBatch(ctx context.Context, r *sharded.Resolver, ops []incremental.Op) error {
+func applyOpBatch(ctx context.Context, r *transport.Coordinator, ops []incremental.Op) error {
 	recs := make([]incremental.Record, len(ops))
 	for i, op := range ops {
 		recs[i] = incremental.Record{Kind: op.Kind, ID: -1, URI: op.URI, Source: op.Source, Attrs: op.Attrs}
@@ -56,10 +57,7 @@ func runShardedBatchDifferential(t *testing.T, bc shardedBatchConfig) {
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher,
 		Workers: 4, Meta: bc.meta, Shards: bc.shards,
 	}
-	sh, err := sharded.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := openLocal(t, "", cfg)
 	single, err := incremental.New(incremental.Config{
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Workers: 4, Meta: bc.meta,
 	})
@@ -83,16 +81,16 @@ func runShardedBatchDifferential(t *testing.T, bc shardedBatchConfig) {
 			assertShardedEqualsSingle(t, sh, single, bc.meta != nil, end)
 		}
 	}
-	// The whole point: one fan-out per batch instead of one per op, one
-	// shard-journal append per shard per batch instead of one per op.
+	// The whole point: one fan-out and one frame per shard per batch
+	// instead of per op, one replica journal append per batch.
 	perf := sh.Perf()
-	if perf.FanOuts != int64(chunks) {
-		t.Fatalf("%d fan-outs for %d batches", perf.FanOuts, chunks)
+	if perf.FanOuts != int64(chunks) || perf.TransportRoundTrips != int64(chunks*bc.shards) {
+		t.Fatalf("%d fan-outs, %d round trips for %d batches on %d shards", perf.FanOuts, perf.TransportRoundTrips, chunks, bc.shards)
 	}
-	if bc.meta == nil && perf.JournalAppends != int64(chunks*bc.shards) {
-		t.Fatalf("%d shard-journal appends for %d batches on %d shards", perf.JournalAppends, chunks, bc.shards)
+	if bc.meta == nil && perf.JournalAppends != int64(chunks) {
+		t.Fatalf("%d replica journal appends for %d batches", perf.JournalAppends, chunks)
 	}
-	assertBatchEquivalence(t, sh, cfg.Blocker, bc.meta, matcher, bc.ops)
+	assertBatchEquivalence(t, sh, entity.Dirty, cfg.Blocker, bc.meta, matcher, bc.ops)
 }
 
 // TestShardedDifferentialBatch is the sharded batched-ingestion acceptance
@@ -123,8 +121,8 @@ func TestShardedDifferentialBatch(t *testing.T) {
 // TestShardedReopenBatch: durable batched ingestion across a hard stop.
 // The recovered leg reopens after an Abandon with a torn frame appended to
 // one shard's WAL; the torn-fanout leg truncates the final batch record
-// off one shard entirely, forcing the coordinator journal to roll the
-// shard's whole batch forward on reopen.
+// off one shard entirely, forcing the coordinator to re-send the shard's
+// whole batch from its journal on reopen.
 func TestShardedReopenBatch(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	ctx := context.Background()
@@ -143,7 +141,7 @@ func TestShardedReopenBatch(t *testing.T) {
 		}
 		return ref
 	}
-	applyBatches := func(t *testing.T, sh *sharded.Resolver, script []incremental.Op, from, to, size int) {
+	applyBatches := func(t *testing.T, sh *transport.Coordinator, script []incremental.Op, from, to, size int) {
 		t.Helper()
 		for at := from; at < to; at += size {
 			if err := applyOpBatch(ctx, sh, script[at:min(at+size, to)]); err != nil {
@@ -162,19 +160,12 @@ func TestShardedReopenBatch(t *testing.T) {
 			Durable: incremental.DurableOptions{SnapshotEvery: 25, SegmentBytes: 4096, NoSync: true},
 		}
 		dir := t.TempDir()
-		sh, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := openLocal(t, dir, cfg)
 		applyBatches(t, sh, script, 0, k, size)
 		sh.Abandon()
 		tearShardTail(t, dir, 1)
-		re, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer re.Close()
-		if !re.Recovered() {
+		re := openLocal(t, dir, cfg)
+		if !recovered(re) {
 			t.Fatal("reopen found no state")
 		}
 		assertShardedEqualsSingle(t, re, singleRef(t, script, k), false, k)
@@ -184,14 +175,14 @@ func TestShardedReopenBatch(t *testing.T) {
 
 	t.Run("durable-meta", func(t *testing.T) {
 		t.Parallel()
-		// Under live meta-blocking the coordinator itself holds durable
-		// state: one coordinator-journal append per acknowledged batch,
-		// one per effective reconcile, compacted into coordinator
-		// snapshots on the shard cadence. A hard stop and reopen must
-		// restore the newest coordinator snapshot and replay whole-batch
-		// records into the similarity cache — comparison counters and
-		// match state restart-exact against an uninterrupted single-node
-		// run that read at the same batch boundaries.
+		// Under live meta-blocking the coordinator's replica does the
+		// matching: one replica journal append per acknowledged batch, one
+		// per effective reconcile, compacted into replica snapshots. A
+		// hard stop and reopen must restore the newest replica snapshot
+		// and replay whole-batch records into the decision cache —
+		// comparison counters and match state restart-exact against an
+		// uninterrupted single-node run that read at the same batch
+		// boundaries.
 		const shards, ops, size = 3, 96, 8
 		meta := &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}
 		script := generateScript(t, entity.Dirty, 433, ops, opMixes[1])
@@ -207,10 +198,7 @@ func TestShardedReopenBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		sh, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := openLocal(t, dir, cfg)
 		for at := 0; at < ops; at += size {
 			end := min(at+size, ops)
 			if err := applyOpBatch(ctx, sh, script[at:end]); err != nil {
@@ -228,24 +216,20 @@ func TestShardedReopenBatch(t *testing.T) {
 		}
 		assertShardedEqualsSingle(t, sh, single, true, ops)
 		sh.Abandon()
-		re, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer re.Close()
-		if !re.Recovered() {
+		re := openLocal(t, dir, cfg)
+		if !recovered(re) {
 			t.Fatal("reopen found no state")
 		}
 		assertShardedEqualsSingle(t, re, single, true, ops)
-		assertBatchEquivalence(t, re, cfg.Blocker, meta, matcher, ops)
+		assertBatchEquivalence(t, re, entity.Dirty, cfg.Blocker, meta, matcher, ops)
 	})
 
 	t.Run("torn-fanout", func(t *testing.T) {
 		t.Parallel()
 		// Shard 0 loses the final batch record — its WAL is truncated into
 		// that append, the crash shape of a fan-out torn mid-batch. Reopen
-		// must roll the WHOLE batch forward on that shard from the
-		// coordinator journal: batch atomicity per shard, then repair.
+		// must hand that shard the WHOLE batch again from the coordinator
+		// journal: batch atomicity per shard, then repair.
 		const shards, ops, size = 3, 48, 6
 		script := generateScript(t, entity.Dirty, 432, ops, opMixes[0])
 		cfg := sharded.Config{
@@ -254,10 +238,7 @@ func TestShardedReopenBatch(t *testing.T) {
 			Durable: incremental.DurableOptions{SnapshotEvery: 1000, SegmentBytes: 1 << 20, NoSync: true},
 		}
 		dir := t.TempDir()
-		sh, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := openLocal(t, dir, cfg)
 		applyBatches(t, sh, script, 0, ops, size)
 		sh.Abandon()
 		segs, err := filepath.Glob(filepath.Join(dir, "shard-000", "wal-*.seg"))
@@ -272,15 +253,14 @@ func TestShardedReopenBatch(t *testing.T) {
 		if err := os.Truncate(active, fi.Size()-3); err != nil {
 			t.Fatal(err)
 		}
-		re, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatalf("reopen after torn fan-out: %v", err)
-		}
-		defer re.Close()
-		if re.RolledForward() == 0 {
-			t.Fatal("reopen repaired nothing: the torn shard was not rolled forward")
+		re := openLocal(t, dir, cfg)
+		// The torn shard recovered to the start of the final batch, one
+		// record short of its peers; the reopen re-sent that batch.
+		rec := re.Recovery()
+		if got, peer := rec[1].ReplayedRecords, rec[2].ReplayedRecords; got != peer-1 {
+			t.Fatalf("torn shard replayed %d records, its peer %d: the final batch was not torn off", got, peer)
 		}
 		assertShardedEqualsSingle(t, re, singleRef(t, script, ops), false, ops)
-		assertBatchEquivalence(t, re, cfg.Blocker, nil, matcher, ops)
+		assertBatchEquivalence(t, re, entity.Dirty, cfg.Blocker, nil, matcher, ops)
 	})
 }

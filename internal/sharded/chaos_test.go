@@ -14,16 +14,20 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 	"entityres/internal/wal"
 )
 
-// The shard-crash chaos property: a shard hard-stopped mid-stream — no
-// Close, with a torn final record left in its WAL by the append a crash
-// would interrupt — and rejoined through its own snapshot + WAL tail is
-// indistinguishable from a shard that never crashed: the sharded
-// resolver's final state is bit-exact vs the uninterrupted single-node
-// resolver, and the rejoin replayed only the crashed shard's journal tail,
-// never the stream's history and never another shard's log.
+// The crash chaos property of the in-process deployment: a whole process
+// hard-stopped mid-stream — no Close, with a torn final record left in one
+// shard's WAL by the append a crash would interrupt — reopens with every
+// journal restored from its own snapshot + WAL tail and is
+// indistinguishable from a deployment that never crashed: the final state
+// is bit-exact vs the uninterrupted single-node resolver, and each shard
+// replayed only its own journal tail, never the stream's history. A crash
+// between the coordinator's journal append and a shard's (the coordinator
+// journals first) is repaired by the coordinator re-sending its last
+// record; a gap wider than that record is refused.
 
 // tearShardTail appends a partial frame to the active WAL segment of one
 // shard directory — the bytes a crash mid-append leaves behind.
@@ -64,8 +68,8 @@ func (cc shardChaosConfig) String() string {
 }
 
 // runShardCrash drives one scenario: stream to a random op boundary, crash
-// one shard, tear its WAL tail, rejoin, finish the stream, and compare
-// against an uninterrupted single-node run.
+// the whole deployment, tear one shard's WAL tail, reopen, finish the
+// stream, and compare against an uninterrupted single-node run.
 func runShardCrash(t *testing.T, cc shardChaosConfig) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	script := generateScript(t, entity.Dirty, cc.seed, cc.ops, cc.mix)
@@ -87,11 +91,7 @@ func runShardCrash(t *testing.T, cc shardChaosConfig) {
 		},
 	}
 	dir := t.TempDir()
-	sh, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
+	sh := openLocal(t, dir, cfg)
 	single, err := incremental.New(incremental.Config{
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Workers: 4, Meta: cc.meta,
 	})
@@ -117,51 +117,40 @@ func runShardCrash(t *testing.T, cc shardChaosConfig) {
 	apply(sh, func() { sh.Matches() }, 0, k)
 	apply(single, func() { single.Matches() }, 0, k)
 
-	// Hard-stop the victim and tear its WAL tail; ops must now fail while
-	// reads keep serving from the coordinator.
-	if err := sh.StopShard(victim); err != nil {
-		t.Fatal(err)
-	}
+	// Hard-stop the whole deployment and tear the victim's WAL tail.
+	sh.Abandon()
 	tearShardTail(t, dir, victim)
-	if err := sh.Apply(ctx, script[k]); err == nil {
-		t.Fatalf("op accepted while shard %d is down", victim)
-	}
-	if g, w := renderState(mustMatches(t, sh)), renderState(mustMatches(t, single)); g != w {
-		t.Fatalf("reads during the outage diverge:\nsharded\n%s\nsingle-node\n%s", g, w)
-	}
 
-	// Rejoin from the shard's own snapshot + tail: replay is bounded by
-	// that shard's journal tail. Every shard journals every operation (plus
-	// one record per reconciling read under meta-blocking), so the
-	// non-meta tail is exactly k mod the snapshot cadence.
-	rec, err := sh.RejoinShard(victim)
-	if err != nil {
-		t.Fatalf("rejoin at op %d: %v", k, err)
-	}
+	// Reopen: every journal restores from its own snapshot + tail, so
+	// replay is bounded by each journal's tail. Every shard journals every
+	// operation (a routed frame of one), so the victim's non-meta tail is
+	// exactly k mod the snapshot cadence.
+	sh = openLocal(t, dir, cfg)
+	rec := sh.Recovery()[1+victim]
 	if !rec.Recovered {
-		t.Fatalf("rejoin at op %d found no state", k)
+		t.Fatalf("reopen at op %d found no state on shard %d", k, victim)
 	}
 	if cc.meta == nil {
 		if want := k % cc.snapEvery; rec.ReplayedRecords != want {
-			t.Fatalf("crash at op %d, cadence %d: rejoin replayed %d records, want exactly the %d-record tail",
-				k, cc.snapEvery, rec.ReplayedRecords, want)
+			t.Fatalf("crash at op %d, cadence %d: shard %d replayed %d records, want exactly the %d-record tail",
+				k, cc.snapEvery, victim, rec.ReplayedRecords, want)
 		}
 	} else if bound := 2*cc.snapEvery + 2; rec.ReplayedRecords > bound {
-		t.Fatalf("crash at op %d, cadence %d: rejoin replayed %d records, beyond the %d-record tail bound",
-			k, cc.snapEvery, rec.ReplayedRecords, bound)
+		t.Fatalf("crash at op %d, cadence %d: shard %d replayed %d records, beyond the %d-record tail bound",
+			k, cc.snapEvery, victim, rec.ReplayedRecords, bound)
 	}
 	if k >= cc.snapEvery && rec.SnapshotSegment == 0 {
-		t.Fatalf("crash at op %d: rejoin replayed the whole stream instead of restoring a snapshot", k)
+		t.Fatalf("crash at op %d: shard %d replayed the whole stream instead of restoring a snapshot", k, victim)
 	}
 
-	// The rejoined system equals the uninterrupted reference at the crash
+	// The reopened system equals the uninterrupted reference at the crash
 	// point and stays bit-exact through the rest of the stream — matches,
 	// stats, blocks and (under meta) restructured blocks.
 	assertShardedEqualsSingle(t, sh, single, cc.meta != nil, k)
 	apply(sh, func() { sh.Matches() }, k, cc.ops)
 	apply(single, func() { single.Matches() }, k, cc.ops)
 	assertShardedEqualsSingle(t, sh, single, cc.meta != nil, cc.ops)
-	assertBatchEquivalence(t, sh, &blocking.TokenBlocking{}, cc.meta, matcher, cc.ops)
+	assertBatchEquivalence(t, sh, entity.Dirty, &blocking.TokenBlocking{}, cc.meta, matcher, cc.ops)
 }
 
 // TestShardCrashRejoin is the chaos acceptance matrix.
@@ -185,10 +174,10 @@ func TestShardCrashRejoin(t *testing.T) {
 	}
 }
 
-// TestShardedReopen: a cleanly closed — or wholly hard-stopped — sharded
-// directory reopens with the coordinator replica rebuilt from the shards,
-// and the resumed stream stays bit-exact vs an uninterrupted single-node
-// run (non-meta; the coordinator's meta caches are memory-only).
+// TestShardedReopen: a wholly hard-stopped sharded directory reopens with
+// the coordinator replica restored from its own journal and every shard
+// from its own, and the resumed stream stays bit-exact vs an
+// uninterrupted single-node run.
 func TestShardedReopen(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	script := generateScript(t, entity.Dirty, 211, 150, opMixes[1])
@@ -206,10 +195,7 @@ func TestShardedReopen(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	const stop = 80
-	sh, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := openLocal(t, dir, cfg)
 	for i := 0; i < stop; i++ {
 		if err := sh.Apply(ctx, script[i]); err != nil {
 			t.Fatal(err)
@@ -220,18 +206,12 @@ func TestShardedReopen(t *testing.T) {
 	}
 	sh.Abandon() // whole-deployment hard stop: every shard at once
 
-	re, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer re.Close()
-	if !re.Recovered() {
+	re := openLocal(t, dir, cfg)
+	if !recovered(re) {
 		t.Fatal("reopen found no state")
 	}
-	for i, rec := range re.Recovery() {
-		if !rec.Recovered {
-			t.Fatalf("shard %d reports no recovered state", i)
-		}
+	if got := len(re.Recovery()); got != 1+cfg.Shards {
+		t.Fatalf("reopen reports %d journals, want the coordinator's and %d shards'", got, cfg.Shards)
 	}
 	assertShardedEqualsSingle(t, re, single, false, stop)
 	for i := stop; i < len(script); i++ {
@@ -248,18 +228,18 @@ func TestShardedReopen(t *testing.T) {
 	re.Close()
 	bad := cfg
 	bad.Shards = 5
-	if _, err := sharded.Open(dir, bad); err == nil {
+	if _, err := transport.OpenLocal(ctx, dir, bad, transport.ClientOptions{}); err == nil {
 		t.Fatal("reopen with a different shard count accepted")
 	}
 }
 
-// appendShardRecord journals one raw operation record into a shard's WAL —
-// the on-disk image of a whole-process crash that interrupted a fan-out
-// after this shard's journal append (and, per journal-then-apply, possibly
-// its apply) but before the remaining shards journaled theirs.
-func appendShardRecord(t *testing.T, dir string, shardIdx int, record string) {
+// appendCoordRecord journals one raw operation record into the
+// coordinator's WAL — the on-disk image of a whole-process crash after the
+// coordinator journaled (and applied) an operation but before any shard
+// received it.
+func appendCoordRecord(t *testing.T, dir string, record string) {
 	t.Helper()
-	l, err := wal.Open(filepath.Join(dir, fmt.Sprintf("shard-%03d", shardIdx)), wal.Options{NoSync: true})
+	l, err := wal.Open(filepath.Join(dir, "coordinator"), wal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +249,12 @@ func appendShardRecord(t *testing.T, dir string, shardIdx int, record string) {
 	}
 }
 
-// TestShardedCrashMidFanout: a whole-process crash between one shard's WAL
-// append and another's leaves the journals one operation apart; Open must
-// roll the behind shards forward with the donated record — completing the
-// in-flight operation, never discarding it — and the result must be
-// bit-exact with an uninterrupted run that includes that operation.
+// TestShardedCrashMidFanout: a whole-process crash between the
+// coordinator's journal append and the shards' leaves the journals one
+// operation apart; the reopen must re-send the coordinator's last record to
+// the behind shards — completing the in-flight operation, never discarding
+// it — and the result must be bit-exact with an uninterrupted run that
+// includes that operation.
 func TestShardedCrashMidFanout(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	script := generateScript(t, entity.Dirty, 221, 60, opMixes[1])
@@ -290,10 +271,7 @@ func TestShardedCrashMidFanout(t *testing.T) {
 	}
 	ctx := context.Background()
 	dir := t.TempDir()
-	sh, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := openLocal(t, dir, cfg)
 	const k = 40
 	for i := 0; i < k; i++ {
 		if err := sh.Apply(ctx, script[i]); err != nil {
@@ -304,7 +282,7 @@ func TestShardedCrashMidFanout(t *testing.T) {
 		}
 	}
 	// The in-flight op the crash interrupts: a delete of a known live
-	// handle, journaled on shard 2 only.
+	// handle, journaled by the coordinator only.
 	victimURI := ""
 	var victimID int
 	for i := k - 1; i >= 0; i-- {
@@ -317,16 +295,9 @@ func TestShardedCrashMidFanout(t *testing.T) {
 		t.Fatal("no live description to delete")
 	}
 	sh.Abandon() // whole-process hard stop, mid-fanout
-	appendShardRecord(t, dir, 2, fmt.Sprintf(`{"op":"delete","id":%d}`, victimID))
+	appendCoordRecord(t, dir, fmt.Sprintf(`{"op":"delete","id":%d}`, victimID))
 
-	re, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatalf("reopen after a mid-fanout tear: %v", err)
-	}
-	defer re.Close()
-	if got := re.RolledForward(); got != 2 {
-		t.Fatalf("rolled %d shards forward, want 2", got)
-	}
+	re := openLocal(t, dir, cfg)
 	// The in-flight delete was completed everywhere: the reference applies
 	// it too, and both keep streaming in lockstep afterwards.
 	if err := single.Apply(ctx, incremental.Op{Kind: incremental.OpDelete, URI: victimURI}); err != nil {
@@ -354,9 +325,10 @@ func TestShardedCrashMidFanout(t *testing.T) {
 	assertShardedEqualsSingle(t, re, single, false, len(script))
 }
 
-// TestShardedCrashMidFanoutKinds covers the roll-forward of each donated
+// TestShardedCrashMidFanoutKinds covers the re-send of each journaled
 // record kind — insert and update (delete is TestShardedCrashMidFanout) —
-// and the refusal when journals diverge beyond the single in-flight op.
+// and the refusal when the shards trail the coordinator by more than its
+// last record.
 func TestShardedCrashMidFanoutKinds(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	cfg := sharded.Config{
@@ -365,12 +337,9 @@ func TestShardedCrashMidFanoutKinds(t *testing.T) {
 		Durable: incremental.DurableOptions{SnapshotEvery: 100, SegmentBytes: 1 << 16, NoSync: true},
 	}
 	ctx := context.Background()
-	seed := func(t *testing.T, dir string) (*sharded.Resolver, *incremental.Resolver) {
+	seed := func(t *testing.T, dir string) (*transport.Coordinator, *incremental.Resolver) {
 		t.Helper()
-		sh, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := openLocal(t, dir, cfg)
 		single, err := incremental.New(incremental.Config{
 			Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Workers: 2,
 		})
@@ -393,15 +362,8 @@ func TestShardedCrashMidFanoutKinds(t *testing.T) {
 		dir := t.TempDir()
 		sh, single := seed(t, dir)
 		sh.Abandon()
-		appendShardRecord(t, dir, 1, `{"op":"insert","id":3,"uri":"u:new","attrs":[{"name":"name","value":"alice smith"}]}`)
-		re, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer re.Close()
-		if re.RolledForward() != 2 {
-			t.Fatalf("rolled %d shards forward, want 2", re.RolledForward())
-		}
+		appendCoordRecord(t, dir, `{"op":"insert","id":3,"uri":"u:new","attrs":[{"name":"name","value":"alice smith"}]}`)
+		re := openLocal(t, dir, cfg)
 		d := &entity.Description{ID: -1, URI: "u:new", Attrs: []entity.Attribute{{Name: "name", Value: "alice smith"}}}
 		if _, err := single.Insert(ctx, d); err != nil {
 			t.Fatal(err)
@@ -413,15 +375,8 @@ func TestShardedCrashMidFanoutKinds(t *testing.T) {
 		dir := t.TempDir()
 		sh, single := seed(t, dir)
 		sh.Abandon()
-		appendShardRecord(t, dir, 0, `{"op":"update","id":2,"attrs":[{"name":"name","value":"alice smith"}]}`)
-		re, err := sharded.Open(dir, cfg)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer re.Close()
-		if re.RolledForward() != 2 {
-			t.Fatalf("rolled %d shards forward, want 2", re.RolledForward())
-		}
+		appendCoordRecord(t, dir, `{"op":"update","id":2,"attrs":[{"name":"name","value":"alice smith"}]}`)
+		re := openLocal(t, dir, cfg)
 		if err := single.Update(ctx, 2, []entity.Attribute{{Name: "name", Value: "alice smith"}}); err != nil {
 			t.Fatal(err)
 		}
@@ -432,23 +387,23 @@ func TestShardedCrashMidFanoutKinds(t *testing.T) {
 		dir := t.TempDir()
 		sh, _ := seed(t, dir)
 		sh.Abandon()
-		appendShardRecord(t, dir, 1, `{"op":"delete","id":0}`)
-		appendShardRecord(t, dir, 1, `{"op":"delete","id":1}`)
-		if _, err := sharded.Open(dir, cfg); err == nil {
+		appendCoordRecord(t, dir, `{"op":"delete","id":0}`)
+		appendCoordRecord(t, dir, `{"op":"delete","id":1}`)
+		if _, err := transport.OpenLocal(ctx, dir, cfg, transport.ClientOptions{}); err == nil {
 			t.Fatal("journals two ops apart accepted")
 		}
 	})
 }
 
 // TestShardedCrashOnCompactionBoundary: the worst-placed whole-process
-// crash — one shard journaled the in-flight op AND folded it into a
-// snapshot (emptying its WAL tail) before the others appended theirs. The
-// donor record survives inside the snapshot (incremental.Resolver
-// LastRecord), so Open still rolls the behind shards forward.
+// crash — the coordinator journaled the in-flight op AND folded it into a
+// snapshot (emptying its WAL tail) before any shard received it. The record
+// survives inside the snapshot (incremental.Resolver LastRecord), so the
+// reopen still re-sends it.
 func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
-	// Cadence 1: every operation compacts, so every shard's WAL tail is
-	// empty at every boundary — the donor can only come from a snapshot.
+	// Cadence 1: every operation compacts, so every WAL tail is empty at
+	// every boundary — the re-sent record can only come from a snapshot.
 	cfg := sharded.Config{
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher,
 		Workers: 2, Shards: 3,
@@ -456,10 +411,7 @@ func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 	}
 	ctx := context.Background()
 	dir := t.TempDir()
-	sh, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := openLocal(t, dir, cfg)
 	single, err := incremental.New(incremental.Config{
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Workers: 2,
 	})
@@ -477,20 +429,20 @@ func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 	}
 	sh.Abandon()
 
-	// Re-enact shard 1 completing the in-flight delete through its own
-	// journal-then-apply-then-compact sequence (a delete never runs the
-	// keyer, so the shard's partitioned index is untouched by opening its
-	// directory with the raw configuration), ending with an empty tail.
-	shardCfg := incremental.Config{
+	// Re-enact the coordinator completing the in-flight delete through its
+	// own journal-then-apply-then-compact sequence (a delete neither keys
+	// nor matches, so opening the replica's directory with the plain
+	// configuration is faithful), ending with an empty tail.
+	coordCfg := incremental.Config{
 		Kind: entity.Dirty, Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Workers: 2,
 		Durable: incremental.DurableOptions{SnapshotEvery: 1, SegmentBytes: 1 << 16, NoSync: true},
 	}
-	ahead, err := incremental.OpenResolver(filepath.Join(dir, "shard-001"), shardCfg)
+	ahead, err := incremental.OpenResolver(filepath.Join(dir, "coordinator"), coordCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec := ahead.Recovery(); rec.ReplayedRecords != 0 {
-		t.Fatalf("shard tail not empty at the boundary: %d records", rec.ReplayedRecords)
+		t.Fatalf("coordinator tail not empty at the boundary: %d records", rec.ReplayedRecords)
 	}
 	if err := ahead.Delete(2); err != nil {
 		t.Fatal(err)
@@ -499,14 +451,7 @@ func TestShardedCrashOnCompactionBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := sharded.Open(dir, cfg)
-	if err != nil {
-		t.Fatalf("reopen after a compaction-boundary tear: %v", err)
-	}
-	defer re.Close()
-	if re.RolledForward() != 2 {
-		t.Fatalf("rolled %d shards forward, want 2", re.RolledForward())
-	}
+	re := openLocal(t, dir, cfg)
 	if err := single.Delete(2); err != nil {
 		t.Fatal(err)
 	}

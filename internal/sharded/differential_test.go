@@ -16,18 +16,19 @@ import (
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/sharded"
+	"entityres/internal/transport"
 )
 
 // The cross-shard differential property: after ANY operation sequence, the
-// sharded resolver's matches, clusters, comparison counts, blocks and
-// restructured blocks are bit-identical to the single-node streaming
-// resolver — for every shard count — and therefore to a from-scratch batch
-// pipeline over the surviving descriptions. The tests drive randomized
-// URI-addressed op scripts (3 seeds × insert/update/delete mixes) through
-// both resolvers in lockstep at shard counts {1, 2, 4, 7}, comparing every
-// observable at checkpoints along the stream so mid-stream divergence
-// cannot hide behind a convergent tail. The fan-out machinery runs real
-// goroutines, so CI executes the suite under -race.
+// in-process sharded deployment's matches, clusters, comparison counts,
+// blocks and restructured blocks are bit-identical to the single-node
+// streaming resolver — for every shard count — and therefore to a
+// from-scratch batch pipeline over the surviving descriptions. The tests
+// drive randomized URI-addressed op scripts (3 seeds × insert/update/delete
+// mixes) through both in lockstep at shard counts {1, 2, 4, 7}, comparing
+// every observable at checkpoints along the stream so mid-stream divergence
+// cannot hide behind a convergent tail. The fan-out runs real goroutines
+// over in-memory pipes, so CI executes the suite under -race.
 
 // opMix weights the generator's choice between inserts, updates, deletes.
 type opMix struct {
@@ -161,8 +162,8 @@ func renderBlocks(bs *blocking.Blocks) string {
 }
 
 // assertShardedEqualsSingle compares every observable of the sharded
-// resolver against the single-node reference, bit for bit.
-func assertShardedEqualsSingle(t *testing.T, sh *sharded.Resolver, single *incremental.Resolver, meta bool, step int) {
+// deployment against the single-node reference, bit for bit.
+func assertShardedEqualsSingle(t *testing.T, sh *transport.Coordinator, single *incremental.Resolver, meta bool, step int) {
 	t.Helper()
 	gs, ws := mustStats(t, sh), mustStats(t, single)
 	if gs != ws {
@@ -181,11 +182,11 @@ func assertShardedEqualsSingle(t *testing.T, sh *sharded.Resolver, single *incre
 	}
 }
 
-// assertBatchEquivalence snapshots the sharded resolver and checks the
+// assertBatchEquivalence snapshots the sharded deployment and checks the
 // batch pipeline over the snapshot reproduces its matches.
-func assertBatchEquivalence(t *testing.T, sh *sharded.Resolver, blocker blocking.StreamableBlocker, meta *metablocking.MetaBlocker, m *matching.Matcher, step int) {
+func assertBatchEquivalence(t *testing.T, sh *transport.Coordinator, kind entity.Kind, blocker blocking.StreamableBlocker, meta *metablocking.MetaBlocker, m *matching.Matcher, step int) {
 	t.Helper()
-	snap, matches := mustSnapshot(t, sh)
+	snap, matches := mustSnapshot(t, sh, kind)
 	batch := &core.Pipeline{Blocker: blocker, Meta: meta, Matcher: m, Mode: core.Batch}
 	res, err := batch.Run(snap)
 	if err != nil {
@@ -218,7 +219,7 @@ func (dc shardedDiffConfig) String() string {
 }
 
 // runShardedDifferential drives one scenario: the same op script through
-// the single-node and the sharded resolver, with lockstep reads.
+// the single-node resolver and the sharded deployment, with lockstep reads.
 func runShardedDifferential(t *testing.T, dc shardedDiffConfig) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	script := generateScript(t, dc.kind, dc.seed, dc.ops, dc.mix)
@@ -228,15 +229,9 @@ func runShardedDifferential(t *testing.T, dc shardedDiffConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := sharded.New(sharded.Config{
+	sh := openLocal(t, "", sharded.Config{
 		Kind: dc.kind, Blocker: dc.blocker, Matcher: matcher, Workers: dc.workers, Meta: dc.meta, Shards: dc.shards,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.Shards(); got != dc.shards {
-		t.Fatalf("resolver reports %d shards, configured %d", got, dc.shards)
-	}
 	ctx := context.Background()
 	for i, op := range script {
 		if err := single.Apply(ctx, op); err != nil {
@@ -251,7 +246,12 @@ func runShardedDifferential(t *testing.T, dc shardedDiffConfig) {
 			assertShardedEqualsSingle(t, sh, single, dc.meta != nil, i+1)
 		}
 	}
-	assertBatchEquivalence(t, sh, dc.blocker, dc.meta, matcher, dc.ops)
+	assertBatchEquivalence(t, sh, dc.kind, dc.blocker, dc.meta, matcher, dc.ops)
+	// Every operation reached every shard, as a full payload or a
+	// slot-advance record.
+	if ts := sh.TransportStats(); ts.FullOps+ts.AdvanceOps != int64(dc.ops*dc.shards) {
+		t.Fatalf("delivery counters %+v for %d ops on %d shards", ts, dc.ops, dc.shards)
+	}
 }
 
 // TestShardedDifferential is the acceptance matrix: 3 seeds × op mixes
@@ -299,10 +299,10 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedDifferentialMetaBlocking extends the matrix to live
-// meta-blocking: the shards maintain per-key-space weighted graphs, the
-// coordinator merges and prunes globally, and matches, comparison counts
-// AND restructured blocks must equal the single-node resolver bit for bit
-// at every checkpoint and shard count.
+// meta-blocking: the shards defer all matching, the coordinator's replica
+// weighs and prunes the whole key space, and matches, comparison counts AND
+// restructured blocks must equal the single-node resolver bit for bit at
+// every checkpoint and shard count.
 func TestShardedDifferentialMetaBlocking(t *testing.T) {
 	var configs []shardedDiffConfig
 	metas := []*metablocking.MetaBlocker{
@@ -335,36 +335,37 @@ func TestShardedDifferentialMetaBlocking(t *testing.T) {
 	}
 }
 
-// TestShardedValidation: the sharded resolver rejects exactly what the
+// TestShardedValidation: the sharded deployment rejects exactly what the
 // single-node resolver rejects, with the same reasons, plus its own
 // shard-count pathologies handled.
 func TestShardedValidation(t *testing.T) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
-	if _, err := sharded.New(sharded.Config{Blocker: &blocking.TokenBlocking{}, Shards: 2}); err == nil {
+	ctx := context.Background()
+	open := func(cfg sharded.Config) error {
+		co, err := transport.OpenLocal(ctx, "", cfg, transport.ClientOptions{})
+		if err == nil {
+			co.Close()
+		}
+		return err
+	}
+	if err := open(sharded.Config{Blocker: &blocking.TokenBlocking{}, Shards: 2}); err == nil {
 		t.Fatal("missing matcher accepted")
 	}
-	if _, err := sharded.New(sharded.Config{Matcher: matcher, Shards: 2}); err == nil {
+	if err := open(sharded.Config{Matcher: matcher, Shards: 2}); err == nil {
 		t.Fatal("missing blocker accepted")
 	}
-	if _, err := sharded.New(sharded.Config{
+	if err := open(sharded.Config{
 		Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Shards: 2,
 		Meta: &metablocking.MetaBlocker{Weight: metablocking.EJS, Prune: metablocking.WEP},
 	}); err == nil {
 		t.Fatal("batch-only meta scheme accepted")
 	}
 	// Shards <= 0 normalizes to 1 and still streams correctly.
-	r, err := sharded.New(sharded.Config{Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Shards: 0})
-	if err != nil {
+	r := openLocal(t, "", sharded.Config{Blocker: &blocking.TokenBlocking{}, Matcher: matcher, Shards: 0})
+	if _, err := r.Insert(ctx, entity.NewDescription("u:x").Add("name", "x")); err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", r.Shards())
-	}
-	if _, err := r.Insert(context.Background(), entity.NewDescription("u:x").Add("name", "x")); err != nil {
-		t.Fatal(err)
-	}
-	// Lifecycle on an in-memory resolver is refused.
-	if err := r.StopShard(0); err == nil {
-		t.Fatal("StopShard on an in-memory resolver accepted")
+	if ts := r.TransportStats(); ts.FullOps != 1 || ts.AdvanceOps != 0 {
+		t.Fatalf("one shard, one insert: delivery counters %+v", ts)
 	}
 }

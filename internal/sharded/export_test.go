@@ -9,9 +9,9 @@ import (
 	"entityres/internal/sharded"
 )
 
-// The exported routing helpers a networked deployment shares with the
-// in-process coordinator: the key→shard directory, the pair-ownership
-// rule, the per-shard node configuration and the match-graph read.
+// The key-partition contract: the key→shard directory, the
+// pair-ownership rule, the per-shard node configuration, and the
+// deployment's match-graph read built on them.
 
 func TestKeyOwnerDirectory(t *testing.T) {
 	if got := sharded.KeyOwner("anything", 1); got != 0 {
@@ -53,11 +53,7 @@ func TestNodeConfig(t *testing.T) {
 }
 
 func TestShardedMatchedWith(t *testing.T) {
-	r, err := sharded.New(apiConfig(3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openLocal(t, "", apiConfig(3, nil))
 	ctx := context.Background()
 	a, err := r.Insert(ctx, apiDesc("u:a", "alice smith"))
 	if err != nil {

@@ -6,25 +6,19 @@ import (
 
 	"entityres/internal/incremental"
 	"entityres/internal/metablocking"
-	"entityres/internal/sharded"
 )
 
-// TestShardedPerfAggregates: the coordinator's Perf sums every shard's
-// counters, so checkpoint work done anywhere in a durable deployment is
-// visible in one place — and reading it never reconciles. (Reconcile
-// counters stay shard-local zero here: with Meta set the coordinator
-// reconciles globally, the shards only maintain statistics.)
+// TestShardedPerfAggregates: the deployment's Perf aggregates its
+// coordinator's counters — the replica journal's checkpoint and reconcile
+// work (under meta-blocking the replica is the one that matches) plus the
+// fan-out and round-trip tallies — and reading it never reconciles.
 func TestShardedPerfAggregates(t *testing.T) {
 	cfg := apiConfig(3, &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP})
 	cfg.Durable = incremental.DurableOptions{SnapshotEvery: 2, NoSync: true}
-	r, err := sharded.Open(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// A fresh open checkpoints each empty shard once and nothing else.
+	r := openLocal(t, t.TempDir(), cfg)
+	// A fresh open checkpoints the empty replica once and nothing else.
 	fresh := r.Perf()
-	if fresh.FullSnapshots != 3 || fresh.SnapshotSlots != 0 || fresh.Reconciles != 0 {
+	if fresh.FullSnapshots != 1 || fresh.SnapshotSlots != 0 || fresh.Reconciles != 0 || fresh.FanOuts != 0 {
 		t.Fatalf("fresh deployment reports unexpected work: %+v", fresh)
 	}
 	ctx := context.Background()
@@ -42,6 +36,9 @@ func TestShardedPerfAggregates(t *testing.T) {
 	p := r.Perf()
 	if p.FullSnapshots <= fresh.FullSnapshots || p.SnapshotSlots <= 0 {
 		t.Fatalf("durable deployment reports no checkpoint work: %+v", p)
+	}
+	if p.Reconciles != 1 || p.FanOuts != 6 || p.TransportRoundTrips != 6*3 {
+		t.Fatalf("6 inserts and a flush on 3 shards counted %+v", p)
 	}
 	if again := r.Perf(); again != p {
 		t.Fatalf("Perf itself changed the counters: %+v then %+v", p, again)

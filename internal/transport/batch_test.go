@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,8 +21,8 @@ import (
 
 // The networked batched-ingestion property: a coordinator shipping whole
 // batches — one replica append, one frame per shard per batch, one
-// cumulative ack back — stays bit-exact with the in-process sharded
-// resolver and the single-node resolver; a batch torn by a crash (shards
+// cumulative ack back — stays bit-exact with the single-node resolver, over
+// TCP and over the in-process pipes alike; a batch torn by a crash (shards
 // down mid-fan-out, coordinator restart, connection death between apply
 // and ack) is re-delivered idempotently from the journal tail; and the
 // wire amortization is measurable: round trips per batch, not per op.
@@ -66,12 +67,13 @@ func runTransportBatchDifferential(t *testing.T, bc transportBatchConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inproc, err := sharded.New(cfg)
+	ctx := context.Background()
+	inproc, err := transport.OpenLocal(ctx, "", cfg, transport.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer inproc.Close()
 	cl := startCluster(t, cfg, make([]string, bc.shards))
-	ctx := context.Background()
 	co, err := cl.open(ctx, "")
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +121,9 @@ func runTransportBatchDifferential(t *testing.T, bc transportBatchConfig) {
 	}
 	if bc.shards > 1 && (ts.FullOps >= total || ts.AdvanceOps == 0) {
 		t.Fatalf("batch frames are replicating, not routing: full=%d advance=%d of %d", ts.FullOps, ts.AdvanceOps, total)
+	}
+	if its := inproc.TransportStats(); !reflect.DeepEqual(its, ts) {
+		t.Fatalf("in-process delivery counters %+v, TCP %+v", its, ts)
 	}
 }
 

@@ -1,4 +1,5 @@
-// The networked coordinator: the client side of the routed op stream.
+// The coordinator of every sharded deployment — networked, or in-process
+// through OpenLocal: the client side of the routed op stream.
 //
 // The coordinator keeps a FULL local replica of the stream — a plain
 // incremental.Resolver over the unpartitioned blocker — and that replica's
@@ -17,9 +18,8 @@
 // description's current match neighbors, which the coordinator folds into
 // its global match graph. Under meta-blocking the roles flip: shards defer
 // all matching and the coordinator's replica reconciles the (full, local)
-// weighted blocking graph itself — identical to the in-process
-// coordinator's merged reconcile because the weight statistics are
-// additive over the key partition.
+// weighted blocking graph itself — exactly the single-node resolver's
+// reconcile, since the replica indexes the whole key space.
 //
 // Delivery discipline: each operation travels in full only to the shards
 // owning one of its blocking keys; the rest receive slot-advance records.
@@ -106,15 +106,18 @@ type Coordinator struct {
 	fullSent, advSent int64
 	perf              incremental.PerfCounters
 	broken            error
+	// host is the shard servers this process runs for an in-process
+	// deployment (OpenLocal); nil when the shards are other processes.
+	host *hosted
 }
 
 // OpenCoordinator connects a coordinator to its shard servers. dir is the
-// coordinator's journal directory ("" for in-memory, tests only);
-// len(addrs) is the shard count and must equal cfg.Shards when that is
-// set. Every shard must be reachable: the open verifies each shard's
-// stream position against the replayed journal, re-sends the one
-// operation a crash may have torn off a shard, and refuses positions it
-// cannot reconcile.
+// coordinator's journal directory ("" keeps the replica in memory, as an
+// in-memory OpenLocal deployment does); len(addrs) is the shard count and
+// must equal cfg.Shards when that is set. Every shard must be reachable:
+// the open verifies each shard's stream position against the replayed
+// journal, re-sends the one operation a crash may have torn off a shard,
+// and refuses positions it cannot reconcile.
 func OpenCoordinator(ctx context.Context, dir string, cfg sharded.Config, addrs []string, opts ClientOptions) (*Coordinator, error) {
 	shards := len(addrs)
 	if shards < 1 {
@@ -766,7 +769,8 @@ func (r *Coordinator) TransportStats() TransportStats {
 }
 
 // Close disconnects from the shards and seals the coordinator journal.
-// Shard servers are not touched — they are other processes.
+// Remote shard servers are not touched — they are other processes; the
+// servers of an in-process deployment are closed with it.
 func (r *Coordinator) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -776,11 +780,12 @@ func (r *Coordinator) Close() error {
 	if r.broken == nil {
 		r.broken = fmt.Errorf("transport: coordinator is closed")
 	}
-	return r.rep.Close()
+	return errors.Join(r.rep.Close(), r.host.close())
 }
 
 // Abandon drops connections and abandons the replica's WAL handles without
-// sealing — the coordinator half of the chaos suites' kill -9.
+// sealing — and those of any in-process shard servers — the kill -9 of the
+// chaos suites.
 func (r *Coordinator) Abandon() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -789,4 +794,17 @@ func (r *Coordinator) Abandon() {
 	}
 	r.broken = fmt.Errorf("transport: coordinator is abandoned")
 	r.rep.Abandon()
+	r.host.abandon()
+}
+
+// Recovery reports what each journal this process opened restored: the
+// coordinator's replica first, then every in-process shard in index order.
+func (r *Coordinator) Recovery() []incremental.RecoveryInfo {
+	out := []incremental.RecoveryInfo{r.rep.Recovery()}
+	if r.host != nil {
+		for _, s := range r.host.servers {
+			out = append(out, s.res.Recovery())
+		}
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -24,10 +25,12 @@ import (
 // The networked differential property: a coordinator driving shard servers
 // over real TCP connections — full payloads routed to key owners only,
 // slot-advance records elsewhere — lands on bit-identical matches,
-// comparison counts, blocks and restructured blocks as BOTH the in-process
-// sharded resolver and the single-node streaming resolver, at every
-// checkpoint of every op mix, while demonstrably delivering fewer full
-// payloads than a replicating transport would.
+// comparison counts, blocks and restructured blocks as the single-node
+// streaming resolver, at every checkpoint of every op mix, while
+// demonstrably delivering fewer full payloads than a replicating transport
+// would. The in-process form (OpenLocal: the same coordinator over
+// in-memory pipes to hosted shard servers) rides along in lockstep and must
+// agree with both, delivery counters included.
 
 // opMix weights the generator's choice between inserts, updates, deletes.
 type opMix struct {
@@ -279,8 +282,8 @@ func (dc transportDiffConfig) String() string {
 }
 
 // runTransportDifferential drives one scenario: the same op script through
-// the single-node resolver, the in-process sharded resolver and the
-// networked deployment, with lockstep reads and checkpoints.
+// the single-node resolver, the TCP deployment and the in-process (pipe)
+// deployment, with lockstep reads and checkpoints.
 func runTransportDifferential(t *testing.T, dc transportDiffConfig) {
 	matcher := &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5}
 	script := generateScript(t, dc.kind, dc.seed, dc.ops, dc.mix)
@@ -294,12 +297,13 @@ func runTransportDifferential(t *testing.T, dc transportDiffConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inproc, err := sharded.New(cfg)
+	ctx := context.Background()
+	inproc, err := transport.OpenLocal(ctx, "", cfg, transport.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer inproc.Close()
 	cl := startCluster(t, cfg, make([]string, dc.shards))
-	ctx := context.Background()
 	co, err := cl.open(ctx, "")
 	if err != nil {
 		t.Fatal(err)
@@ -337,11 +341,14 @@ func runTransportDifferential(t *testing.T, dc transportDiffConfig) {
 	if len(ts.Down) != 0 {
 		t.Fatalf("shards down after a clean run: %v", ts.Down)
 	}
+	if its := inproc.TransportStats(); !reflect.DeepEqual(its, ts) {
+		t.Fatalf("in-process delivery counters %+v, TCP %+v", its, ts)
+	}
 }
 
 // TestTransportDifferential is the acceptance matrix: op scripts replayed
-// through real TCP deployments at several shard counts, bit-exact against
-// both in-process deployment forms.
+// through real TCP and in-process deployments at several shard counts,
+// bit-exact against the single-node resolver.
 func TestTransportDifferential(t *testing.T) {
 	var configs []transportDiffConfig
 	for si, n := range []int{1, 2, 4, 7} {
@@ -389,6 +396,12 @@ func TestTransportDifferentialMetaBlocking(t *testing.T) {
 				workers: 4, shards: n, seed: int64(221 + mi), ops: 140, mix: opMixes[mi%len(opMixes)],
 			})
 		}
+	}
+	for i, n := range []int{1, 3, 4} {
+		configs = append(configs, transportDiffConfig{
+			kind: entity.Dirty, blocker: &blocking.TokenBlocking{}, meta: metas[i%len(metas)],
+			workers: 2, shards: n, seed: int64(231 + i), ops: 120, mix: opMixes[(i+1)%len(opMixes)],
+		})
 	}
 	for _, dc := range configs {
 		dc := dc

@@ -5,7 +5,7 @@
 // shipping so a remote shard bootstraps from a wal.Snapshot blob instead of
 // a shared filesystem.
 //
-// Routing is the traffic win over the in-process coordinator's replication:
+// Routing is the traffic win over replicating the stream to every shard:
 // each operation's full payload travels only to the shards owning one of
 // its blocking keys (sharded.KeyOwner over the key set — the key→shard
 // directory of the hash partition); every other shard receives a compact
