@@ -10,6 +10,7 @@ import (
 	"entityres/internal/blockproc"
 	"entityres/internal/datagen"
 	"entityres/internal/entity"
+	"entityres/internal/incremental"
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
 	"entityres/internal/token"
@@ -94,8 +95,11 @@ func rowsCases() []rowsCase {
 // which tokenizes every record for the matcher itself. It covers dirty and
 // clean-clean collections, raw, purged and ECBS/WNP-restructured blocks,
 // both token measures, and profilers that agree and that differ in each
-// field. For each differing pair it also checks that the fixture can tell:
-// forcing the blocker's rows on the matcher changes some result.
+// field. The streaming resolver, which reads its index's key lists as rows
+// when the profilers agree, must equal the same oracle over the raw blocks
+// after applying the collection in batches. For each differing pair it
+// also checks that the fixture can tell: forcing the blocker's rows on the
+// matcher changes some result.
 func TestBatchRowsEqualBoundRows(t *testing.T) {
 	ctx := context.Background()
 	stages := map[string]func(p *Pipeline){
@@ -146,6 +150,13 @@ func TestBatchRowsEqualBoundRows(t *testing.T) {
 							t.Fatalf("%s workers=%d: %d matches / %d comparisons, ResolveBlocksParallel %d / %d",
 								what, workers, res.Matches.Len(), res.Comparisons, want.Matches.Len(), want.Comparisons)
 						}
+						if workers == 1 && stage == "raw" {
+							matches, comparisons := streamRows(t, c, blocker, p.Matcher)
+							if comparisons != want.Comparisons || !slices.Equal(sortedPairs(matches), sortedPairs(want.Matches)) {
+								t.Fatalf("%s streaming: %d matches / %d comparisons, ResolveBlocksParallel %d / %d",
+									what, matches.Len(), comparisons, want.Matches.Len(), want.Comparisons)
+							}
+						}
 						if workers == 1 && !rc.share {
 							forced, err := matching.ResolveBlocksRows(ctx, c, res.Blocks, p.Matcher, 1, keyRows)
 							if err != nil {
@@ -161,4 +172,30 @@ func TestBatchRowsEqualBoundRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// streamRows applies c's records to a fresh streaming resolver in batches
+// of 37 inserts, so handles equal c's IDs, and returns its matches and
+// comparison count.
+func streamRows(t *testing.T, c *entity.Collection, blocker *blocking.TokenBlocking, m *matching.Matcher) (*entity.Matches, int64) {
+	t.Helper()
+	r, err := incremental.New(incremental.Config{Kind: c.Kind(), Blocker: blocker, Matcher: m, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := c.All()
+	for at := 0; at < len(all); at += 37 {
+		var recs []incremental.Record
+		for _, d := range all[at:min(at+37, len(all))] {
+			recs = append(recs, incremental.Record{Kind: incremental.OpInsert, ID: -1, URI: d.URI, Source: d.Source, Attrs: d.Attrs})
+		}
+		if err := r.ApplyBatch(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matches, err := r.Matches()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matches, r.Counters().Comparisons
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"entityres/internal/entity"
-	"entityres/internal/matching"
 )
 
 // decisionCache caches pairwise matcher decisions for the deferred
@@ -78,24 +77,25 @@ func (c *decisionCache) Each(fn func(a, b entity.ID, sim bool) bool) {
 	}
 }
 
-// evaluateFresh runs the cache-missing pairs through the matcher pool and
-// folds the decisions into the cache, in input order, returning the number
-// of matcher invocations. It is the evaluation core of the delta reconcile
-// (meta.go). On error
-// (context cancellation mid-frontier) nothing is cached and nothing
-// counted — the match state stays exactly what it was before the call, the
-// work stays pending, and comparison counters sum completed reconciles
-// only, keeping them equal to a batch run's count on replayed collections.
-func evaluateFresh(ctx context.Context, coll *entity.Collection, m *matching.Matcher, workers int, cache *decisionCache, fresh []entity.Pair) (int64, error) {
+// evaluateFresh runs the cache-missing pairs through the matcher pool (on
+// the row store, see resolve) and folds the decisions into the cache, in
+// input order, returning the number of matcher invocations. It is the
+// evaluation core of the delta reconcile (meta.go). On error (context
+// cancellation mid-frontier) nothing is cached and nothing counted — the
+// match state stays exactly what it was before the call, the work stays
+// pending, and comparison counters sum completed reconciles only, keeping
+// them equal to a batch run's count on replayed collections. Callers hold
+// r.mu exclusively.
+func (r *Resolver) evaluateFresh(ctx context.Context, fresh []entity.Pair) (int64, error) {
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	out, err := matching.ResolvePairs(ctx, coll, fresh, m, workers)
+	out, err := r.resolve(ctx, fresh)
 	if err != nil {
 		return 0, err
 	}
 	for _, p := range fresh {
-		cache.Set(p.A, p.B, out.Matches.Contains(p.A, p.B))
+		r.simCache.Set(p.A, p.B, out.Matches.Contains(p.A, p.B))
 	}
 	return out.Comparisons, nil
 }

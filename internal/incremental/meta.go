@@ -238,7 +238,7 @@ func (r *Resolver) applyRefates(ctx context.Context, refates []metablocking.Refa
 			fresh = append(fresh, f.Pair)
 		}
 	}
-	n, err := evaluateFresh(ctx, r.coll, r.cfg.Matcher, r.cfg.Workers, r.simCache, fresh)
+	n, err := r.evaluateFresh(ctx, fresh)
 	if err != nil {
 		return 0, err
 	}

@@ -9,8 +9,11 @@
 // blocks the operation changed (its delta frontier, walked along its keys'
 // posting lists; a batch's run of inserts is walked in one pass), the
 // frontier's distinct pairs go to the matcher's pair entry point
-// (matching.ResolvePairsRows), and the match graph and its connected
-// components are maintained by graph.Dynamic with targeted recomputation.
+// (matching.ResolvePairsRows) over the resolver's slot-indexed token row
+// store — the block index's own key lists under token blocking with the
+// matcher's profiler, otherwise one tokenization per record while it lives
+// — and the match graph and its connected components are maintained by
+// graph.Dynamic with targeted recomputation.
 //
 // The Resolver's contract is differential equivalence: after any sequence
 // of operations, its match set and clusters are identical to a from-scratch
@@ -44,6 +47,7 @@ import (
 	"entityres/internal/graph"
 	"entityres/internal/matching"
 	"entityres/internal/metablocking"
+	"entityres/internal/token"
 )
 
 // Config parameterizes a Resolver.
@@ -171,6 +175,13 @@ type Resolver struct {
 
 	blocks *blocking.BlockIndex
 	dyn    *graph.Dynamic
+	// rows is the token row store the matcher decides pairs on, indexed by
+	// handle (see row): nil until a pair first needs the record, and again
+	// once it is retired. It is derived state, never journaled or
+	// snapshotted. With sharedRows a row is the block index's own key list.
+	rows       [][]string
+	rowProf    *token.Profiler
+	sharedRows bool
 	// The frontier walk's scratch (see walk and index), reused across ops.
 	stamp    []uint64
 	epoch    uint64
@@ -226,6 +237,15 @@ func New(cfg Config) (*Resolver, error) {
 		byURI:   make(map[string]entity.ID),
 		blocks:  blocking.NewBlockIndex(cfg.Kind),
 		dyn:     graph.NewDynamic(),
+	}
+	r.rowProf, _ = cfg.Matcher.RowProfiler()
+	if tb, ok := cfg.Blocker.(*blocking.TokenBlocking); ok && cfg.Matcher.SharesRows(tb.Profiler) {
+		r.sharedRows = true
+	}
+	// A blocker that keeps per-record state (a shard's key lens) hears
+	// every membership change, so it can drop what a retired record held.
+	if o, ok := cfg.Blocker.(blocking.MembershipObserver); ok {
+		r.blocks.Observe(o)
 	}
 	if cfg.Meta != nil {
 		// The weighted blocking graph rides the block index's membership
@@ -655,6 +675,7 @@ func (r *Resolver) isLive(id entity.ID) bool {
 // r.mu.
 func (r *Resolver) retire(id entity.ID) {
 	r.blocks.Remove(id)
+	r.clearRow(id)
 	r.dyn.RemoveNode(id)
 	if r.weighted != nil {
 		r.simCache.Invalidate(id)
@@ -669,11 +690,11 @@ const frontierChunk = 4096
 // resolves their frontier in one pass: each distinct pair of a record x of
 // the range with a co-blocked record outside it or below x — exactly what
 // resolving them one at a time compares. Walk and DeltaFilter run on this
-// goroutine, comparisons on the pool over one row map, so each member is
-// tokenized once. Under meta-blocking matching is instead deferred to the
-// next read's reconcile (see meta.go). Matching runs under a context that
-// never cancels, as an admitted operation always completes. Callers hold
-// r.mu.
+// goroutine, comparisons on the pool over the row store (see resolve), so
+// no record is tokenized again while it lives. Under meta-blocking matching
+// is instead deferred to the next read's reconcile (see meta.go). Matching
+// runs under a context that never cancels, as an admitted operation always
+// completes. Callers hold r.mu.
 func (r *Resolver) index(lo, hi entity.ID) error {
 	for id := lo; id < hi; id++ {
 		d := r.coll.Get(id)
@@ -685,7 +706,6 @@ func (r *Resolver) index(lo, hi entity.ID) error {
 		r.metaDirty = true
 		return nil
 	}
-	var rows map[entity.ID][]string
 	pairs := r.frontier[:0]
 	for x := lo; x < hi; x++ {
 		var claim func(string, *entity.Description) bool
@@ -702,10 +722,7 @@ func (r *Resolver) index(lo, hi entity.ID) error {
 		if len(pairs) < frontierChunk && (x < hi-1 || len(pairs) == 0) {
 			continue
 		}
-		if rows == nil {
-			rows = make(map[entity.ID][]string, len(pairs)+1)
-		}
-		out, err := matching.ResolvePairsRows(context.Background(), r.coll, pairs, r.cfg.Matcher, r.cfg.Workers, rows)
+		out, err := r.resolve(context.Background(), pairs)
 		if err != nil {
 			return fmt.Errorf("incremental: delta matching: %w", err)
 		}
@@ -718,6 +735,53 @@ func (r *Resolver) index(lo, hi entity.ID) error {
 	}
 	r.frontier = pairs
 	return nil
+}
+
+// resolve runs the matcher pool over pairs of live records, deciding token
+// measures on the row store: each member's row is filled first (see row),
+// so the workers only read it. Similarities without a row form ignore the
+// store. Callers hold r.mu exclusively.
+func (r *Resolver) resolve(ctx context.Context, pairs []entity.Pair) (matching.Result, error) {
+	if r.rowProf != nil {
+		for _, p := range pairs {
+			r.row(p.A)
+			r.row(p.B)
+		}
+	}
+	return matching.ResolvePairsRows(ctx, r.coll, pairs, r.cfg.Matcher, r.cfg.Workers, r.rows)
+}
+
+// row returns live record id's token row, filling its store slot on first
+// use: with sharedRows the block index's key list itself, which token
+// blocking derives as exactly the matcher's row, and otherwise one
+// tokenization kept until the record is retired. The store grows with the
+// slot space. Callers hold r.mu exclusively.
+func (r *Resolver) row(id entity.ID) []string {
+	if int(id) >= len(r.rows) {
+		r.rows = append(r.rows, make([][]string, r.coll.Len()-len(r.rows))...)
+	}
+	if row := r.rows[id]; row != nil {
+		return row
+	}
+	var row []string
+	if r.sharedRows {
+		row = r.blocks.Keys(id)
+	} else {
+		row = matching.TokenRow(r.rowProf, r.coll.Get(id))
+	}
+	if row == nil {
+		row = []string{} // filled, with no tokens
+	}
+	r.rows[id] = row
+	return row
+}
+
+// clearRow empties id's row store slot: its content changed or died.
+// Callers hold r.mu exclusively.
+func (r *Resolver) clearRow(id entity.ID) {
+	if int(id) < len(r.rows) {
+		r.rows[id] = nil
+	}
 }
 
 // walk offers visit each record sharing a key with x and comparable to it,
@@ -848,6 +912,15 @@ func (r *Resolver) Blocks() *blocking.Blocks {
 	r.rlock()
 	defer r.mu.RUnlock()
 	return r.blocks.Blocks()
+}
+
+// Keys returns the distinct, sorted blocking keys the live description
+// with the given handle is indexed under, or nil when it is not live. The
+// slice is the block index's own: callers must not mutate it.
+func (r *Resolver) Keys(id entity.ID) []string {
+	r.rlock()
+	defer r.mu.RUnlock()
+	return r.blocks.Keys(id)
 }
 
 // Get returns a copy of the live description with the given handle.

@@ -150,6 +150,7 @@ func (r *Resolver) routedSkip(recs []Record) (int, error) {
 // keys but slot-advanced its insert. Callers hold r.mu.
 func (r *Resolver) materialize(rec *Record) error {
 	d := r.coll.Get(rec.ID)
+	r.clearRow(rec.ID)
 	d.URI, d.Source = rec.URI, rec.Source
 	d.Attrs = append([]entity.Attribute(nil), rec.Attrs...)
 	r.live[rec.ID] = true

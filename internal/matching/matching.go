@@ -235,8 +235,9 @@ func (m *Matcher) rowForm() (prof *token.Profiler, kernel func(a, b []string) fl
 	return prof.OrDefault(), kernel, true
 }
 
-// tokenRow returns d's distinct tokens, sorted.
-func tokenRow(prof *token.Profiler, d *entity.Description) []string {
+// TokenRow returns d's distinct tokens under prof, sorted: the row a
+// matcher with a row form compares (see RowProfiler).
+func TokenRow(prof *token.Profiler, d *entity.Description) []string {
 	row := prof.Tokens(d)
 	slices.Sort(row)
 	return slices.Compact(row)
@@ -252,35 +253,51 @@ func (m *Matcher) describe(c *entity.Collection) func(a, b entity.ID) bool {
 }
 
 // bind returns m's decision for one resolve call over pairs. For a
-// similarity with a row form (see rowForm) it tokenizes each member of the
-// pairs without a row in rows once into a sorted, duplicate-free row, kept
-// in rows, and decides a pair by merging the two rows. Every other
-// similarity is called through Match on the descriptions.
-func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair, rows map[entity.ID][]string) func(a, b entity.ID) bool {
+// similarity with a row form (see rowForm) it decides a pair by merging
+// the two records' token rows: rows[id] when the caller keeps them (rows
+// non-nil, see ResolvePairsRows), otherwise rows it tokenizes once per
+// member of pairs for this call. Every other similarity is called through
+// Match on the descriptions.
+func (m *Matcher) bind(c *entity.Collection, pairs []entity.Pair, rows [][]string) func(a, b entity.ID) bool {
 	prof, kernel, ok := m.rowForm()
 	if !ok {
 		return m.describe(c)
 	}
+	threshold := m.Threshold
+	if rows != nil {
+		return func(a, b entity.ID) bool {
+			return kernel(rows[a], rows[b]) >= threshold
+		}
+	}
+	own := make(map[entity.ID][]string)
 	for _, p := range pairs {
 		for _, id := range [2]entity.ID{p.A, p.B} {
-			if _, ok := rows[id]; !ok {
-				rows[id] = tokenRow(prof, c.Get(id))
+			if _, ok := own[id]; !ok {
+				own[id] = TokenRow(prof, c.Get(id))
 			}
 		}
 	}
-	threshold := m.Threshold
 	return func(a, b entity.ID) bool {
-		return kernel(rows[a], rows[b]) >= threshold
+		return kernel(own[a], own[b]) >= threshold
 	}
+}
+
+// RowProfiler returns the profiler whose token rows (see TokenRow) m
+// decides pairs on, nil meaning none: ok=false when m's similarity has no
+// row form and is called through Match instead.
+func (m *Matcher) RowProfiler() (*token.Profiler, bool) {
+	prof, _, ok := m.rowForm()
+	return prof, ok
 }
 
 // SharesRows reports whether m decides pairs on token rows that are
 // exactly prof's token lists, sorted and compacted: m's similarity has a
 // row form (see rowForm) and its profiler equals prof by value, nil meaning
 // the default. Token blocking under prof keys every record by that list,
-// so its key lists can be ResolveBlocksRows' rows.
+// so its key lists can be the matcher's rows (ResolveBlocksRows,
+// ResolvePairsRows).
 func (m *Matcher) SharesRows(prof *token.Profiler) bool {
-	own, _, ok := m.rowForm()
+	own, ok := m.RowProfiler()
 	return ok && own.Equal(prof)
 }
 
@@ -300,7 +317,7 @@ func (m *Matcher) bindIndex(ctx context.Context, c *entity.Collection, ix *block
 		err := forChunks(ctx, len(rows), workers, chunk, func(_, lo, hi int) {
 			for id := lo; id < hi; id++ {
 				if ix.BlocksPer(id) > 0 {
-					rows[id] = tokenRow(prof, c.Get(id))
+					rows[id] = TokenRow(prof, c.Get(id))
 				}
 			}
 		})

@@ -86,17 +86,22 @@ func ResolveBlocksRows(ctx context.Context, c *entity.Collection, bs *blocking.B
 // ResolvePairs executes the matcher over an explicit pair list, once per
 // listed pair, with a pool of workers claiming chunks of the list (<= 0
 // means GOMAXPROCS; a list of at most one chunk runs inline). It is
-// ResolvePairsRows binding its rows afresh. When ctx is cancelled the
-// partial result is returned together with ctx.Err().
+// ResolvePairsRows without kept rows: token measures tokenize each member
+// of the pairs once per call. When ctx is cancelled the partial result is
+// returned together with ctx.Err().
 func ResolvePairs(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int) (Result, error) {
-	return ResolvePairsRows(ctx, c, pairs, m, workers, make(map[entity.ID][]string))
+	return ResolvePairsRows(ctx, c, pairs, m, workers, nil)
 }
 
-// ResolvePairsRows is ResolvePairs binding token rows into rows (see bind):
-// the entry point of the streaming resolvers, whose rows are sized by the
-// pairs' members, never by the collection. Chunks of a long frontier
-// resolved over one map, whose members do not change, tokenize each once.
-func ResolvePairsRows(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int, rows map[entity.ID][]string) (Result, error) {
+// ResolvePairsRows is ResolvePairs over token rows the caller keeps across
+// calls, dense and indexed by handle: rows[id] must be record id's token
+// row under m.RowProfiler (see TokenRow) for every member of pairs. It is
+// the entry point of the streaming resolver, whose slot-indexed row store
+// tokenizes a record once while it lives, or reads token blocking's key
+// lists when m.SharesRows accepts the blocker's profiler. nil rows bind
+// rows for the call (see bind); similarities without a row form ignore
+// rows.
+func ResolvePairsRows(ctx context.Context, c *entity.Collection, pairs []entity.Pair, m *Matcher, workers int, rows [][]string) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

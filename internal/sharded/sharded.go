@@ -98,9 +98,12 @@ func KeyOwner(key string, shards int) int {
 // description passes through the lens keyer (which refreshes its entry —
 // including during WAL replay, so entries are always point-in-time
 // correct for the shard's own state), and candidates are then looked up
-// instead of re-tokenized. A lens belongs to exactly one
-// incremental.Resolver instance, whose internal lock serializes every
-// access; a reopened shard builds a fresh lens with its fresh resolver.
+// instead of re-tokenized. An entry leaves with its description's index
+// membership (the resolver's block index notifies the shard blocker, see
+// RemoveDocument), so the memo holds indexed descriptions only. A lens
+// belongs to exactly one incremental.Resolver instance, whose internal
+// lock serializes every access; a reopened shard builds a fresh lens with
+// its fresh resolver.
 //
 // The memos are deliberately NOT shared across shards even though steady
 // state stores the same full key sets N times: a rejoining shard replays
@@ -176,6 +179,17 @@ type shardBlocker struct {
 
 // StreamKeyer implements blocking.StreamableBlocker with the owned subset.
 func (b *shardBlocker) StreamKeyer() blocking.KeyFunc { return b.lens.keyer }
+
+// AddDocument implements blocking.MembershipObserver: the keyer already
+// memoized the description, or keysOf derives it on a miss.
+func (b *shardBlocker) AddDocument(*blocking.BlockIndex, entity.ID, int, []string) {}
+
+// RemoveDocument implements blocking.MembershipObserver: a retired
+// description's memo entry goes with its membership. An update re-adds it
+// through the keyer.
+func (b *shardBlocker) RemoveDocument(_ *blocking.BlockIndex, id entity.ID, _ int, _ []string) {
+	delete(b.lens.memo, id)
+}
 
 // FirstSharedKey returns the smallest key present in both ascending
 // distinct key slices, and whether one exists. The shard owning that key

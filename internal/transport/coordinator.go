@@ -332,6 +332,15 @@ func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record)
 		}
 		return r.rep.Get(id)
 	}
+	// keysBefore is the key set a live handle has before the record: the
+	// replica indexes under the raw blocker, so a handle the batch has not
+	// rewritten reads its set straight from the replica's index.
+	keysBefore := func(id entity.ID) []string {
+		if d, ok := overlay[id]; ok {
+			return r.keysOf(d)
+		}
+		return r.rep.Keys(id)
+	}
 	ops := make([]incremental.RoutedOp, len(recs))
 	owners := make([][]bool, len(recs))
 	for i := range recs {
@@ -348,7 +357,7 @@ func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record)
 			if !ok {
 				return fmt.Errorf("transport: batch record %d updates dead handle %d after validation", i, rec.ID)
 			}
-			oldKeys := r.keysOf(old)
+			oldKeys := keysBefore(rec.ID)
 			next := &entity.Description{ID: rec.ID, URI: old.URI, Source: old.Source, Attrs: rec.Attrs}
 			// Enrich the journaled record with the description's identity:
 			// a restarted coordinator rebuilds the full routed form straight
@@ -359,12 +368,11 @@ func (r *Coordinator) ApplyBatch(ctx context.Context, recs []incremental.Record)
 			owners[i] = r.ownersOf(oldKeys, r.keysOf(next))
 			overlay[rec.ID] = next
 		case incremental.OpDelete:
-			old, ok := desc(rec.ID)
-			if !ok {
+			if d, ok := overlay[rec.ID]; ok && d == nil {
 				return fmt.Errorf("transport: batch record %d deletes dead handle %d after validation", i, rec.ID)
 			}
 			ops[i] = incremental.RoutedOp{Seq: seq, Kind: rec.Kind, ID: rec.ID}
-			owners[i] = r.ownersOf(r.keysOf(old))
+			owners[i] = r.ownersOf(keysBefore(rec.ID))
 			overlay[rec.ID] = nil
 		}
 	}
