@@ -2,6 +2,7 @@ package incremental_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"entityres/internal/blocking"
@@ -86,12 +87,38 @@ func BenchmarkStreamingMetaBlocking(b *testing.B) {
 	}
 }
 
+// preloaded returns an in-memory resolver under token blocking and token
+// Jaccard with the default profiler, one worker and the given meta-blocker
+// (nil for none), holding descs applied as one batch and read once, so any
+// deferred reconcile is settled before the clock starts.
+func preloaded(b *testing.B, descs []*entity.Description, meta *metablocking.MetaBlocker) *incremental.Resolver {
+	b.Helper()
+	r, err := incremental.New(incremental.Config{
+		Kind:    entity.Dirty,
+		Blocker: &blocking.TokenBlocking{},
+		Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
+		Workers: 1,
+		Meta:    meta,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]incremental.Record, len(descs))
+	for i, d := range descs {
+		recs[i] = incremental.Record{Kind: incremental.OpInsert, ID: -1, URI: d.URI, Attrs: d.Attrs}
+	}
+	if err := r.ApplyBatch(context.Background(), recs); err != nil {
+		b.Fatal(err)
+	}
+	mustStats(b, r)
+	return r
+}
+
 // BenchmarkInsertOne measures one singleton insert — a batch of one, the
 // live write path without a journal — into an in-memory resolver
-// preloaded with two thirds of a datagen dirty collection, under token
-// blocking and token Jaccard with the default profiler. Each op inserts the
-// next description of the remaining third; once they are used up, a fresh
-// preloaded resolver is built off the clock.
+// preloaded with two thirds of a datagen dirty collection. Each op inserts
+// the next description of the remaining third; once they are used up, a
+// fresh preloaded resolver is built off the clock.
 func BenchmarkInsertOne(b *testing.B) {
 	c, _, err := datagen.GenerateDirty(datagen.Config{Entities: 2000, Seed: 42, DupRatio: 0.5, MaxDuplicates: 3})
 	if err != nil {
@@ -100,37 +127,60 @@ func BenchmarkInsertOne(b *testing.B) {
 	descs := c.All()
 	preload := len(descs) * 2 / 3
 	ctx := context.Background()
-	fresh := func() *incremental.Resolver {
-		r, err := incremental.New(incremental.Config{
-			Kind:    entity.Dirty,
-			Blocker: &blocking.TokenBlocking{},
-			Matcher: &matching.Matcher{Sim: &matching.TokenJaccard{}, Threshold: 0.5},
-			Workers: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs := make([]incremental.Record, preload)
-		for i, d := range descs[:preload] {
-			recs[i] = incremental.Record{Kind: incremental.OpInsert, ID: -1, URI: d.URI, Attrs: d.Attrs}
-		}
-		if err := r.ApplyBatch(ctx, recs); err != nil {
-			b.Fatal(err)
-		}
-		return r
-	}
-	r, next := fresh(), preload
+	r, next := preloaded(b, descs[:preload], nil), preload
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		if next == len(descs) {
 			b.StopTimer()
-			r, next = fresh(), preload
+			r, next = preloaded(b, descs[:preload], nil), preload
 			b.StartTimer()
 		}
 		if _, err := r.Insert(ctx, descs[next]); err != nil {
 			b.Fatal(err)
 		}
 		next++
+	}
+}
+
+// BenchmarkMetaReadAfterInsert measures the live meta-blocking read path:
+// one singleton insert followed by one Stats read, which reconciles the
+// insert's delta under CBS weights and WEP pruning, on an in-memory
+// resolver preloaded with 1,000 and then 4,000 descriptions of a datagen
+// dirty collection. Each op inserts the next of 250 further descriptions;
+// once they are used up, a fresh preloaded resolver is built off the clock.
+// A reconcile that pays only for its delta costs about the same at both
+// sizes.
+func BenchmarkMetaReadAfterInsert(b *testing.B) {
+	const extra = 250
+	c, _, err := datagen.GenerateDirty(datagen.Config{Entities: 2500, Seed: 42, DupRatio: 0.5, MaxDuplicates: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	descs := c.All()
+	meta := &metablocking.MetaBlocker{Weight: metablocking.CBS, Prune: metablocking.WEP}
+	ctx := context.Background()
+	for _, preload := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
+			end := preload + extra
+			if end > len(descs) {
+				b.Fatalf("collection holds %d descriptions, the benchmark needs %d", len(descs), end)
+			}
+			r, next := preloaded(b, descs[:preload], meta), preload
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if next == end {
+					b.StopTimer()
+					r, next = preloaded(b, descs[:preload], meta), preload
+					b.StartTimer()
+				}
+				if _, err := r.Insert(ctx, descs[next]); err != nil {
+					b.Fatal(err)
+				}
+				mustStats(b, r)
+				next++
+			}
+		})
 	}
 }

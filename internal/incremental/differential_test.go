@@ -111,6 +111,9 @@ func renderState(m *entity.Matches) string {
 
 // checkDifferential snapshots the resolver, runs the batch pipeline over
 // the snapshot, and compares rendered matches and clusters byte for byte.
+// Under meta-blocking it also pins the kept set: Stats().KeptPairs equals
+// the batch run's block count, and RestructuredBlocks names the batch
+// blocks' pairs in the batch order.
 func checkDifferential(t *testing.T, r *incremental.Resolver, dc diffConfig, m *matching.Matcher, step int) {
 	t.Helper()
 	snap, matches := mustSnapshot(t, r)
@@ -123,6 +126,39 @@ func checkDifferential(t *testing.T, r *incremental.Resolver, dc diffConfig, m *
 	if got != want {
 		t.Fatalf("step %d: incremental state diverges from batch over %d live descriptions:\nincremental:\n%s\nbatch:\n%s",
 			step, snap.Len(), got, want)
+	}
+	if dc.meta == nil {
+		return
+	}
+	if kept := mustStats(t, r).KeptPairs; kept != res.Blocks.Len() {
+		t.Fatalf("step %d: resolver keeps %d pairs, batch meta-blocking %d", step, kept, res.Blocks.Len())
+	}
+	// Snapshot IDs are compacted handles; the URIs map one onto the other.
+	snapID := make(map[string]entity.ID, snap.Len())
+	for _, d := range snap.All() {
+		snapID[d.URI] = d.ID
+	}
+	toSnap := func(ids []entity.ID) []entity.ID {
+		out := make([]entity.ID, len(ids))
+		for i, id := range ids {
+			d, live := r.Get(id)
+			if !live {
+				t.Fatalf("step %d: restructured block names dead handle %d", step, id)
+			}
+			out[i] = snapID[d.URI]
+		}
+		return out
+	}
+	rb := mustRestructuredBlocks(t, r)
+	if rb.Len() != res.Blocks.Len() {
+		t.Fatalf("step %d: RestructuredBlocks has %d blocks, batch %d", step, rb.Len(), res.Blocks.Len())
+	}
+	for i, b := range rb.All() {
+		g := fmt.Sprint(toSnap(b.S0), toSnap(b.S1))
+		w := res.Blocks.Get(i)
+		if want := fmt.Sprint(w.S0, w.S1); g != want {
+			t.Fatalf("step %d: restructured block %d holds %s, batch block holds %s", step, i, g, want)
+		}
 	}
 }
 

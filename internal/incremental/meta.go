@@ -27,11 +27,19 @@
 // cache invalidation flows through retire, whose membership removal dirties
 // the pair), so leaving its match edge alone is exactly what the old
 // full-rescan reconcile did.
+//
+// The wall time follows the delta too. The pruner's kept map is the one
+// kept set once the first reconcile has created the pruner, so a reconcile
+// neither rebuilds nor sorts it; only the cold readers (RestructuredBlocks
+// and the checkpoint image, through keptEdges) materialize sorted edges,
+// and Stats counts the map. Until that first reconcile, lastKept holds the
+// baseline a restore brought in.
 package incremental
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"entityres/internal/blocking"
 	"entityres/internal/entity"
@@ -151,9 +159,28 @@ func (r *Resolver) RestructuredBlocks() (*blocking.Blocks, error) {
 		return nil, err
 	}
 	defer r.mu.RUnlock()
-	kept := make([]graph.Edge, len(r.lastKept))
-	copy(kept, r.lastKept)
-	return metablocking.EmitKept(r.coll, r.cfg.Kind, kept), nil
+	return metablocking.EmitKept(r.coll, r.cfg.Kind, r.keptEdges()), nil
+}
+
+// keptEdges materializes the kept set as a fresh slice of edges sorted by
+// pair: the delta pruner's once the first reconcile has created it, the
+// restored baseline before that. It is the one accessor of the cold
+// readers (RestructuredBlocks, the checkpoint image); reconcile never
+// calls it. Callers hold r.mu.
+func (r *Resolver) keptEdges() []graph.Edge {
+	if r.pruner != nil {
+		return r.pruner.KeptEdges()
+	}
+	return slices.Clone(r.lastKept)
+}
+
+// keptCount is the size of the kept set keptEdges would return, without
+// materializing it. Callers hold r.mu.
+func (r *Resolver) keptCount() int {
+	if r.pruner != nil {
+		return r.pruner.KeptCount()
+	}
+	return len(r.lastKept)
 }
 
 // reconcile settles the deferred meta-blocking state: syncs the delta
@@ -188,15 +215,17 @@ func (r *Resolver) reconcile(ctx context.Context) error {
 		journaled = true
 		r.perf.JournalAppends++
 	}
-	// The pruner is created at first reconcile, seeded with the committed
+	// The pruner is created at first reconcile, seeded with the restored
 	// kept baseline (lastKept — consistent with the match graph and the
-	// decision cache at every quiescent point, including right after a
-	// snapshot restore or a shard bootstrap): its first sync then re-derives
-	// every live pair against that baseline, exactly like the old full
-	// reconcile, and later syncs are delta-proportional.
+	// decision cache right after a snapshot restore or a shard bootstrap,
+	// empty on a fresh resolver): its first sync then re-derives every live
+	// pair against that baseline, and later syncs are delta-proportional.
+	// From then on the pruner's kept map is the only kept set, so the
+	// baseline is dropped.
 	if r.pruner == nil {
 		r.pruner = metablocking.NewDeltaPruner(r.weighted, *r.cfg.Meta)
 		r.pruner.Seed(r.lastKept)
+		r.lastKept = nil
 	}
 	refates := r.pruner.Sync()
 	n, err := r.applyRefates(ctx, refates)
@@ -212,7 +241,6 @@ func (r *Resolver) reconcile(ctx context.Context) error {
 	}
 	r.pruner.Apply(refates)
 	r.stats.Comparisons += n
-	r.lastKept = r.pruner.KeptEdges()
 	r.metaDirty = false
 	r.perf.Reconciles++
 	r.perf.ReconcileExamined = r.pruner.Examined()

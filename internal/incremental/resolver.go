@@ -193,10 +193,13 @@ type Resolver struct {
 
 	// Live meta-blocking state (nil / unused without cfg.Meta): the
 	// incrementally weighted blocking graph, the cached pairwise matcher
-	// decisions, the edges retained by the latest pruning pass, the delta
-	// pruner re-deriving fates proportionally to the changes (created at
-	// first reconcile, seeded from lastKept), and the dirty flag driving
-	// the deferred reconcile (see meta.go).
+	// decisions, the delta pruner re-deriving fates proportionally to the
+	// changes (created at first reconcile; its kept map is from then on the
+	// resolver's kept set), and the dirty flag driving the deferred
+	// reconcile (see meta.go). lastKept holds only a restored kept baseline
+	// (snapshot, Bootstrap, legacy delta chain) until the first reconcile
+	// seeds the pruner with it and drops it; keptEdges and keptCount read
+	// whichever of the two holds the kept set.
 	weighted  *metablocking.WeightedGraph
 	simCache  *decisionCache
 	lastKept  []graph.Edge
@@ -870,7 +873,7 @@ func (r *Resolver) Stats() (Stats, error) {
 	st.Clusters = r.dyn.NumClusters()
 	if r.weighted != nil {
 		st.CandidatePairs = r.weighted.NumPairs()
-		st.KeptPairs = len(r.lastKept)
+		st.KeptPairs = r.keptCount()
 	}
 	return st, nil
 }

@@ -198,7 +198,7 @@ func (r *Resolver) encodeSnapshot() ([]byte, int, error) {
 	}
 	if r.weighted != nil {
 		im.SimCache = encodeSimCache(r.simCache)
-		for _, e := range r.lastKept {
+		for _, e := range r.keptEdges() {
 			im.LastKept = append(im.LastKept, keptJSON{A: e.A, B: e.B, W: e.Weight})
 		}
 		im.MetaDirty = r.metaDirty

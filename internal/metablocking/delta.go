@@ -38,6 +38,11 @@
 //     neighborhood of every such node — already delta-proportional, so no
 //     index is kept.
 //
+// Adjacency is mirrored only where the scheme reads it: JS and ECBS expand
+// dirty nodes to their incident edges and WNP reads degrees and
+// neighborhoods, while CBS with WEP needs neither, so its pruner keeps no
+// adjacency at all.
+//
 // Sync/Apply are split for cancellation safety: Sync commits the pure
 // statistics (weights, sums, thresholds, adjacency — all re-derivable from
 // the graph) but never the kept set. The caller evaluates the returned
@@ -48,9 +53,10 @@
 package metablocking
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"entityres/internal/entity"
 	"entityres/internal/graph"
@@ -79,10 +85,14 @@ type DeltaPruner struct {
 
 	// Mirror of the graph's edge weights as of the last Sync.
 	weights map[entity.Pair]float64
-	// adjacency over the mirrored edges: JS/ECBS candidate expansion and
-	// WNP degrees/neighborhoods.
+	// adj is the adjacency over the mirrored edges, kept only for the
+	// schemes that read it (JS and ECBS candidate expansion, WNP degrees
+	// and neighborhoods); nil under CBS with WEP, where link and unlink do
+	// nothing.
 	adj map[entity.ID]map[entity.ID]struct{}
-	// kept is the committed fate set: pair → weight at commit time.
+	// kept is the committed fate set, pair → weight at commit time. Once
+	// a streaming resolver has created its pruner this map is that
+	// resolver's kept set; KeptEdges materializes it only for cold readers.
 	kept map[entity.Pair]float64
 
 	// WEP state: exact global sum, last threshold, bucketed weight index.
@@ -109,8 +119,10 @@ func NewDeltaPruner(wg *WeightedGraph, m MetaBlocker) *DeltaPruner {
 		m:       m,
 		log:     wg.Track(),
 		weights: make(map[entity.Pair]float64),
-		adj:     make(map[entity.ID]map[entity.ID]struct{}),
 		kept:    make(map[entity.Pair]float64),
+	}
+	if m.Weight != CBS || m.Prune == WNP {
+		p.adj = make(map[entity.ID]map[entity.ID]struct{})
 	}
 	if m.Prune == WNP {
 		p.nodeSum = make(map[entity.ID]*exactSum)
@@ -260,12 +272,7 @@ func (p *DeltaPruner) Sync() []Refate {
 			refates = append(refates, Refate{Pair: pr, Weight: w, InGraph: in, WasKept: wasKept, Kept: kept})
 		}
 	}
-	sort.Slice(refates, func(i, j int) bool {
-		if refates[i].Pair.A != refates[j].Pair.A {
-			return refates[i].Pair.A < refates[j].Pair.A
-		}
-		return refates[i].Pair.B < refates[j].Pair.B
-	})
+	slices.SortFunc(refates, func(x, y Refate) int { return pairOrder(x.Pair, y.Pair) })
 	return refates
 }
 
@@ -292,21 +299,29 @@ func (p *DeltaPruner) Requeue(refates []Refate) {
 // KeptCount returns the size of the committed kept set.
 func (p *DeltaPruner) KeptCount() int { return len(p.kept) }
 
-// KeptEdges returns the committed kept set as edges sorted by pair — the
-// same set a full PruneGraph over the current graph would retain (after
-// the pending changes are synced and applied).
+// KeptEdges returns the committed kept set as a fresh slice of edges
+// sorted by pair — the same set a full PruneGraph over the current graph
+// would retain (after the pending changes are synced and applied). It
+// costs the whole set, so it serves cold readers only; KeptCount sizes the
+// set without it.
 func (p *DeltaPruner) KeptEdges() []graph.Edge {
 	out := make([]graph.Edge, 0, len(p.kept))
 	for pr, w := range p.kept {
 		out = append(out, graph.Edge{A: pr.A, B: pr.B, Weight: w})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	slices.SortFunc(out, func(x, y graph.Edge) int {
+		return pairOrder(entity.Pair{A: x.A, B: x.B}, entity.Pair{A: y.A, B: y.B})
 	})
 	return out
+}
+
+// pairOrder orders pairs by A, then B: the order of Sync's refates and of
+// KeptEdges.
+func pairOrder(x, y entity.Pair) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // Examined returns the cumulative number of candidate fate derivations —
@@ -375,6 +390,9 @@ func (p *DeltaPruner) nodeAcc(id entity.ID) *exactSum {
 }
 
 func (p *DeltaPruner) link(pr entity.Pair) {
+	if p.adj == nil {
+		return
+	}
 	p.halfLink(pr.A, pr.B)
 	p.halfLink(pr.B, pr.A)
 }
@@ -389,6 +407,9 @@ func (p *DeltaPruner) halfLink(a, b entity.ID) {
 }
 
 func (p *DeltaPruner) unlink(pr entity.Pair) {
+	if p.adj == nil {
+		return
+	}
 	p.halfUnlink(pr.A, pr.B)
 	p.halfUnlink(pr.B, pr.A)
 }

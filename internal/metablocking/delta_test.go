@@ -105,10 +105,38 @@ func runDeltaVsFull(t *testing.T, seed int64, m MetaBlocker, mix deltaChurnMix) 
 		p.Apply(refates)
 		want := keptMap(m.PruneGraph(wg.Graph(m.Weight), nil))
 		assertKeptEquals(t, step, keptMap(p.KeptEdges()), want)
+		assertAdjacency(t, step, p)
 		// Quiescence: with nothing changed since Apply, the next Sync has
 		// no candidates at all.
 		if extra := p.Sync(); len(extra) != 0 {
 			t.Fatalf("step %d: quiescent Sync re-derived %d refates", step, len(extra))
+		}
+	}
+}
+
+// assertAdjacency checks that the pruner mirrors adjacency exactly for the
+// schemes that read it (JS, ECBS, WNP), and then mirrors every weighted
+// edge in both directions and nothing else; CBS with WEP keeps none.
+func assertAdjacency(t *testing.T, step int, p *DeltaPruner) {
+	t.Helper()
+	if p.m.Weight == CBS && p.m.Prune == WEP {
+		if p.adj != nil {
+			t.Fatalf("step %d: CBS/WEP pruner mirrors adjacency of %d nodes", step, len(p.adj))
+		}
+		return
+	}
+	half := 0
+	for _, ns := range p.adj {
+		half += len(ns)
+	}
+	if half != 2*len(p.weights) {
+		t.Fatalf("step %d: adjacency holds %d half-edges for %d weighted edges", step, half, len(p.weights))
+	}
+	for pr := range p.weights {
+		_, ab := p.adj[pr.A][pr.B]
+		_, ba := p.adj[pr.B][pr.A]
+		if !ab || !ba {
+			t.Fatalf("step %d: adjacency misses weighted edge (%d,%d)", step, pr.A, pr.B)
 		}
 	}
 }
